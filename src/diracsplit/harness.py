@@ -354,13 +354,19 @@ def reference_self_distance(
     *,
     cache_dir: str | os.PathLike | None = None,
     use_cache: bool = True,
+    fine: Optional[SpinorField] = None,
 ) -> tuple[float, float, float]:
     """Error metrics between references at tau_e and 2*tau_e.
 
     Measures how converged the reference itself is; study errors within a
-    small multiple of this distance carry no order information.
+    small multiple of this distance carry no order information.  A caller
+    that already holds the tau_e reference passes it as `fine`, so it is
+    neither propagated nor read again.
     """
-    fine = reference_solution(problem, t_final, protocol, cache_dir=cache_dir, use_cache=use_cache)
+    if fine is None:
+        fine = reference_solution(
+            problem, t_final, protocol, cache_dir=cache_dir, use_cache=use_cache
+        )
     coarse_protocol = ReferenceProtocol(scheme=protocol.scheme, tau=2.0 * protocol.tau)
     coarse = reference_solution(
         problem, t_final, coarse_protocol, cache_dir=cache_dir, use_cache=use_cache
@@ -514,7 +520,7 @@ def temporal_convergence(
         study_taus=taus, cache_dir=cache_dir, use_cache=use_cache,
     )
     self_distance = reference_self_distance(
-        problem, t_final, protocol, cache_dir=cache_dir, use_cache=use_cache
+        problem, t_final, protocol, cache_dir=cache_dir, use_cache=use_cache, fine=reference
     )
     jobs = [
         (lambda tau=tau, n=n: _run_cell(scheme_name, problem, tau, n, t_final, reference))

@@ -33,26 +33,28 @@ __all__ = [
 
 
 class SpectralCache:
-    """Per-mode eigendata of the kinetic generator T on a fixed grid.
+    """Per-mode data of the kinetic generator T on a fixed grid.
 
     For each Fourier mode the Hermitian matrix
 
         H = delta*eps*(mu_x sigma_1 + mu_y sigma_2) + nu sigma_3
 
     has eigenvalues +-eta with eta = sqrt(nu^2 + delta^2 eps^2 |mu|^2), and
-    T restricted to the mode is Gamma = -i H / (delta eps^2) = -i Q D Q*
-    with D = diag(eta, -eta)/(delta eps^2).  The cache stores eta, D, the
-    unitary Q, and the unit vector n = H/eta used by the fast path
-    e^{-i phi n.sigma} = cos(phi) I - i sin(phi) (n.sigma).
+    T restricted to the mode is Gamma = -i H / (delta eps^2).  The cache
+    stores the phase rate eta/(delta eps^2) and the unit vector n = H/eta,
+    so that e^{c tau Gamma} = e^{-i phi n.sigma} with
+    phi = c tau eta/(delta eps^2).  `rotation` memoizes the two SU(2)
+    factors of that exponential per distinct c*tau, which is what repeated
+    scheme steps at fixed tau hit.
     """
 
-    __slots__ = ("grid", "params", "mu", "eta", "eigvals", "eigvecs",
-                 "phase_scale", "nx", "ny", "nz", "_axes")
+    __slots__ = ("grid", "params", "phase_scale", "nx", "ny", "nz", "_axes", "_rotations")
 
     def __init__(self, params: PhysParams, grid: Grid):
         self.grid = grid
         self.params = params
         self._axes = tuple(range(1, 1 + grid.dim))
+        self._rotations: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
         # Fourier frequencies mu_l = 2 pi l / (b - a) in FFT layout.
         length = grid.b - grid.a
@@ -62,35 +64,38 @@ class SpectralCache:
             mux, muy = mu_axis, np.zeros_like(mu_axis)
         else:
             mux, muy = np.broadcast_arrays(mu_axis[:, None], mu_axis[None, :])
-        self.mu = (mux, muy) if grid.dim == 2 else (mux,)
 
         de = params.delta * params.epsilon
         de2 = params.delta * params.epsilon**2
         eta = np.sqrt(params.nu**2 + de**2 * (mux**2 + muy**2))
-        self.eta = eta
         self.phase_scale = eta / de2
         self.nx = de * mux / eta
         self.ny = de * muy / eta
         self.nz = params.nu / eta
 
-        # Eigendecomposition H = Q diag(eta, -eta) Q*: with zeta =
-        # delta*eps*(mu_x + i mu_y), the columns (eta+nu, zeta) and
-        # (-conj(zeta), eta+nu) are orthogonal eigenvectors; eta+nu >= 2*nu
-        # > 0, so the normalization never degenerates.
-        zeta = de * (mux + 1.0j * muy)
-        norm = 1.0 / np.sqrt(2.0 * eta * (eta + params.nu))
-        Q = np.empty((*grid.shape, 2, 2), dtype=np.complex128)
-        Q[..., 0, 0] = (eta + params.nu) * norm
-        Q[..., 1, 0] = zeta * norm
-        Q[..., 0, 1] = -np.conj(zeta) * norm
-        Q[..., 1, 1] = (eta + params.nu) * norm
-        self.eigvecs = Q
-        self.eigvals = np.stack((eta / de2, -eta / de2), axis=-1)
+    def rotation(self, ctau: float) -> tuple[np.ndarray, np.ndarray]:
+        """Per-mode factors (A, B) of e^{c tau Gamma} = [[A, B], [-conj B, conj A]].
+
+        A = cos(phi) - i sin(phi) n_z and B = -i sin(phi) (n_x - i n_y);
+        the pair is computed once per distinct c*tau, shared by every flow
+        and stored read-only.
+        """
+        key = float(ctau)
+        out = self._rotations.get(key)
+        if out is None:
+            ph = key * self.phase_scale
+            s = np.sin(ph)
+            a = np.cos(ph) - 1.0j * s * self.nz
+            b = (-1.0j * s) * (self.nx - 1.0j * self.ny)
+            a.flags.writeable = False
+            b.flags.writeable = False
+            out = (a, b)
+            self._rotations[key] = out
+        return out
 
     def gamma(self) -> np.ndarray:
         """The per-mode generator Gamma = -i H/(delta eps^2), shape (*shape, 2, 2)."""
-        de2 = self.params.delta * self.params.epsilon**2
-        scale = -1.0j * self.eta / de2
+        scale = -1.0j * self.phase_scale
         out = np.empty((*self.grid.shape, 2, 2), dtype=np.complex128)
         out[..., 0, 0] = scale * self.nz
         out[..., 0, 1] = scale * (self.nx - 1.0j * self.ny)
@@ -100,7 +105,7 @@ class SpectralCache:
 
 
 def build_cache(params: PhysParams, grid: Grid) -> SpectralCache:
-    """Precompute per-mode eigendata for `grid` under `params`."""
+    """Precompute the per-mode data of T for `grid` under `params`."""
     return SpectralCache(params, grid)
 
 
@@ -109,14 +114,16 @@ class WFlowCache:
 
     Valid only for time-independent potentials; the sampled V/delta table is
     computed once and a phase array is memoized per distinct c*tau value,
-    which is what repeated scheme steps at fixed tau hit.
+    which is what repeated scheme steps at fixed tau hit.  The cache records
+    its grid, and `apply_W_flow` rejects it on a field of another grid.
     """
 
-    __slots__ = ("_v_over_delta", "_phases")
+    __slots__ = ("grid", "_v_over_delta", "_phases")
 
     def __init__(self, potential: Potential, grid: Grid, params: PhysParams):
         if not potential.time_independent:
             raise ValueError("WFlowCache requires a time-independent potential")
+        self.grid = grid
         self._v_over_delta = potential.sample_grid(0.0, grid) / params.delta
         self._phases: dict[float, np.ndarray] = {}
 
@@ -160,20 +167,29 @@ def apply_T_flow(field: SpinorField, ctau: float, cache: SpectralCache) -> Spino
     """Apply e^{c tau T} in place: per-mode rotation e^{-i phi n.sigma}.
 
     phi = c*tau*eta/(delta eps^2).  Exact for any real c*tau and unitary,
-    hence mass preserving.
+    hence mass preserving.  The FFTs write into field.values and the 2x2
+    mixing [[A, B], [-conj B, conj A]] uses the cached tables of `cache`.
+    Its two temporaries (one component each) belong to the call, never to
+    the cache, so one cache can serve several threads.
     """
     _check_grids(field, cache.grid)
+    a, b = cache.rotation(ctau)
+    v = field.values
     axes = cache._axes
-    u = np.fft.fftn(field.values, axes=axes)
-    ph = float(ctau) * cache.phase_scale
-    c = np.cos(ph)
-    s = np.sin(ph)
-    u1, u2 = u[0], u[1]
-    new1 = (c - 1.0j * s * cache.nz) * u1 + (-1.0j * s) * (cache.nx - 1.0j * cache.ny) * u2
-    new2 = (-1.0j * s) * (cache.nx + 1.0j * cache.ny) * u1 + (c + 1.0j * s * cache.nz) * u2
-    u[0] = new1
-    u[1] = new2
-    field.values[...] = np.fft.ifftn(u, axes=axes)
+    np.fft.fftn(v, axes=axes, out=v)
+    u1, u2 = v[0], v[1]
+    # new1 = A u1 + B u2 and new2 = conj(A u2* - B u1*), so conj(A) and
+    # conj(B) are never formed.
+    bu2 = b * u2
+    bu1c = np.conjugate(u1)
+    bu1c *= b
+    u1 *= a
+    u1 += bu2
+    np.conjugate(u2, out=u2)
+    u2 *= a
+    u2 -= bu1c
+    np.conjugate(u2, out=u2)
+    np.fft.ifftn(v, axes=axes, out=v)
     return field
 
 
@@ -189,9 +205,10 @@ def apply_W_flow(
 
     t_eval is ignored for time-independent potentials.  When `wcache` is
     supplied (time-independent potentials only) the phase table is reused
-    across steps.
+    across steps; it must have been built on the field's grid.
     """
     if wcache is not None:
+        _check_grids(field, wcache.grid)
         phase = wcache.phases(ctau)
     else:
         v = potential.sample_grid(t_eval, field.grid)

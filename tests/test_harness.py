@@ -422,6 +422,29 @@ class TestTemporalConvergence:
         assert study.fit_phi.order is None
         assert study.fit_phi.points_used == ()
 
+    @pytest.mark.parametrize("use_cache", [False, True])
+    def test_reference_is_propagated_once(self, use_cache, tmp_path, monkeypatch):
+        # The self-distance reuses the fine reference: one fine and one
+        # coarse propagation, whether or not the disk cache is in play.
+        import diracsplit.harness as harness
+
+        propagated = []
+        original = harness._propagate
+
+        def counting(problem, t_final, scheme_name, tau):
+            propagated.append(tau)
+            return original(problem, t_final, scheme_name, tau)
+
+        monkeypatch.setattr(harness, "_propagate", counting)
+        tau = 0.003125
+        study = temporal_convergence(
+            "S2", STUDY_TAUS, small_problem(32), 0.5,
+            ReferenceProtocol(scheme="S6c", tau=tau),
+            cache_dir=tmp_path, use_cache=use_cache,
+        )
+        assert propagated == [tau, 2 * tau]
+        assert all(d > 0.0 for d in study.self_distance)
+
     def test_needs_three_step_sizes(self, tmp_path):
         with pytest.raises(ValueError, match="at least 3"):
             temporal_convergence(

@@ -1,5 +1,8 @@
 """Fourier transforms and the exact split flows."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,6 +48,23 @@ def dense_T_matrix(params, grid):
         for b in range(2):
             T[a * n:(a + 1) * n, b * n:(b + 1) * n] = Finv @ np.diag(gamma[:, a, b]) @ F
     return T
+
+
+def plain_T_flow(field, ctau, cache):
+    """Closed-form e^{c tau T} without tables or in-place FFTs: the oracle.
+
+    Recomputes cos/sin per call and mixes freshly allocated spectra; the
+    library's table-driven, in-place flow must agree with it to round-off.
+    """
+    axes = tuple(range(1, 1 + field.grid.dim))
+    u = np.fft.fftn(field.values, axes=axes)
+    ph = float(ctau) * cache.phase_scale
+    c = np.cos(ph)
+    s = np.sin(ph)
+    u1, u2 = u[0], u[1]
+    new1 = (c - 1.0j * s * cache.nz) * u1 + (-1.0j * s) * (cache.nx - 1.0j * cache.ny) * u2
+    new2 = (-1.0j * s) * (cache.nx + 1.0j * cache.ny) * u1 + (c + 1.0j * s * cache.nz) * u2
+    return SpinorField(field.grid, np.fft.ifftn(np.stack((new1, new2)), axes=axes))
 
 
 class TestTransforms:
@@ -155,6 +175,104 @@ class TestTFlow:
         np.testing.assert_allclose(stepwise.values, combined.values, atol=1e-11)
 
 
+FAST_PATH_GRIDS = [
+    pytest.param((1, 512), id="1d-M512"),
+    pytest.param((2, 256), id="2d-M256"),
+]
+FAST_PATH_ATOL = 1e-13
+
+
+@pytest.fixture(params=FAST_PATH_GRIDS)
+def fast_setup(request):
+    dim, M = request.param
+    grid = make_grid(dim, -8.0, 8.0, M)
+    params = PhysParams(delta=0.7, nu=0.9, epsilon=0.6)
+    return grid, build_cache(params, grid)
+
+
+class TestTFlowFastPath:
+    """The table-driven in-place flow against the plain closed form, per flow."""
+
+    @pytest.mark.parametrize("ctau", [0.0, -0.37, 250.0, 1.0 / 64.0])
+    def test_matches_plain_flow(self, fast_setup, ctau, rng):
+        grid, cache = fast_setup
+        f = random_field(grid, rng)
+        expected = plain_T_flow(f, ctau, cache)
+        got = apply_T_flow(f.copy(), ctau, cache)
+        np.testing.assert_allclose(got.values, expected.values, rtol=0, atol=FAST_PATH_ATOL)
+
+    def test_alternating_steps_through_one_cache(self, fast_setup, rng):
+        # Each flow is compared from the same input, so tables for one c*tau
+        # cannot leak into another and a reused table gives the same answer.
+        grid, cache = fast_setup
+        f = random_field(grid, rng)
+        for ctau in (0.3, -0.3, 0.3, 12.5, -0.3, 0.0, 12.5):
+            expected = plain_T_flow(f, ctau, cache)
+            got = apply_T_flow(f.copy(), ctau, cache)
+            np.testing.assert_allclose(got.values, expected.values, rtol=0, atol=FAST_PATH_ATOL)
+        assert len(cache._rotations) == 4
+
+    def test_updates_the_field_array_in_place(self, fast_setup, rng):
+        grid, cache = fast_setup
+        f = random_field(grid, rng)
+        before = f.values
+        expected = plain_T_flow(f, 0.21, cache)
+        out = apply_T_flow(f, 0.21, cache)
+        assert out is f and f.values is before
+        np.testing.assert_allclose(f.values, expected.values, rtol=0, atol=FAST_PATH_ATOL)
+
+    def test_tables_are_read_only(self, fast_setup):
+        _, cache = fast_setup
+        a, b = cache.rotation(0.5)
+        assert cache.rotation(0.5)[0] is a
+        with pytest.raises(ValueError):
+            a[...] = 0.0
+        with pytest.raises(ValueError):
+            b[...] = 0.0
+
+    def test_threads_sharing_one_cache_match_serial(self, fast_setup, rng):
+        # More threads than cores and a short switch interval: a flow that
+        # kept scratch on the shared cache would mix up the threads' fields.
+        grid, cache = fast_setup
+        ctaus = (0.11, -0.07, 0.11, 3.0)
+        starts = [random_field(grid, rng) for _ in range(4)]
+        serial = []
+        for f in starts:
+            g = f.copy()
+            for ctau in ctaus:
+                plain = plain_T_flow(g, ctau, cache)
+                g = apply_T_flow(g, ctau, cache)
+                np.testing.assert_allclose(g.values, plain.values, rtol=0, atol=FAST_PATH_ATOL)
+            serial.append(g)
+
+        shared = build_cache(cache.params, grid)
+        results = [None] * len(starts)
+        barrier = threading.Barrier(len(starts))
+
+        def run(k):
+            barrier.wait(timeout=30)
+            for _ in range(10):
+                g = starts[k].copy()
+                for ctau in ctaus:
+                    apply_T_flow(g, ctau, shared)
+            results[k] = g
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(starts))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for got, want in zip(results, serial):
+            assert got is not None
+            np.testing.assert_array_equal(got.values, want.values)
+
+
 class TestWFlow:
     def test_is_expected_phase(self, grid1d, params, rng):
         p = rational_potential_1d()
@@ -190,6 +308,18 @@ class TestWFlow:
         direct = apply_W_flow(f.copy(), 0.25, 3.0, p, params)
         cached = apply_W_flow(f.copy(), 0.25, 3.0, p, params, wcache)
         np.testing.assert_array_equal(direct.values, cached.values)
+
+    def test_wcache_rejects_field_on_another_grid(self, params):
+        # Same M, wider box: the phases would sample V at the wrong nodes.
+        built_on = make_grid(2, -8.0, 8.0, 128)
+        field_grid = make_grid(2, -16.0, 16.0, 128)
+        p = honeycomb_potential("constant")
+        wcache = WFlowCache(p, built_on, params)
+        f = gaussian_ic(field_grid, ((0.0, 0.0), (1.0, 0.0)))
+        before = f.values.copy()
+        with pytest.raises(ValueError, match="does not match"):
+            apply_W_flow(f, 0.01, 0.0, p, params, wcache)
+        np.testing.assert_array_equal(f.values, before)
 
     def test_wcache_rejects_time_dependent(self, grid2d, params):
         with pytest.raises(ValueError):
