@@ -35,8 +35,8 @@ from .model import (
     mass,
     rational_potential_1d,
 )
-from .schemes import catalog, evolve
-from .spectral import WFlowCache, build_cache
+from .schemes import Propagator, catalog
+from .spectral import build_cache
 
 CACHE_ENV_VAR = "DIRACSPLIT_CACHE"
 DEFAULT_CACHE_DIR = ".diracsplit-cache"
@@ -87,6 +87,11 @@ class Problem:
             ("initial-sha256", self.initial_digest()),
             ("t-start", float(self.t_start).hex()),
         ]
+
+    def propagator(self, scheme_name: str, tau: float) -> Propagator:
+        """The flow tables for running `scheme_name` at step tau on this problem."""
+        spec = catalog(scheme_name)
+        return Propagator(spec, tau, self.potential, build_cache(self.params, self.grid))
 
 
 @dataclass(frozen=True)
@@ -295,14 +300,12 @@ def _steps_for_span(span: float, tau: float) -> int:
 
 
 def _propagate(problem: Problem, t_final: float, scheme_name: str, tau: float) -> SpinorField:
-    spec = catalog(scheme_name)
     span = t_final - problem.t_start
     field = problem.initial.copy()
     if span == 0.0:
         return field
     n = _steps_for_span(span, tau)
-    cache = build_cache(problem.params, problem.grid)
-    evolve(field, tau, problem.t_start, n, spec, problem.potential, cache)
+    problem.propagator(scheme_name, tau).run(field, problem.t_start, n)
     return field.check_finite()
 
 
@@ -434,17 +437,11 @@ def _run_cell(
     The timer covers the propagation loop only; building the spectral plan
     and the potential phase table is setup, not stepping cost.
     """
-    spec = catalog(scheme_name)
+    propagator = problem.propagator(scheme_name, tau)
     field = problem.initial.copy()
     m0 = mass(field)
-    cache = build_cache(problem.params, problem.grid)
-    wcache = (
-        WFlowCache(problem.potential, problem.grid, problem.params)
-        if problem.potential.time_independent
-        else None
-    )
     start = time.perf_counter()
-    evolve(field, tau, problem.t_start, n_steps, spec, problem.potential, cache, wcache)
+    propagator.run(field, problem.t_start, n_steps)
     wall = time.perf_counter() - start
     field.check_finite()
     e_phi, e_rho, e_j = error_metrics(field, reference)
@@ -772,23 +769,14 @@ def mass_series(
     """Relative mass deviation |m_n - m_0| / m_0 after each of n_steps steps."""
     if not isinstance(n_steps, int) or n_steps < 0:
         raise ValueError(f"n_steps must be a nonnegative integer, got {n_steps!r}")
-    spec = catalog(scheme_name)
     field = problem.initial.copy()
     m0 = mass(field)
     if m0 == 0.0:
         return np.zeros(n_steps)
-    cache = build_cache(problem.params, problem.grid)
-    wcache = (
-        WFlowCache(problem.potential, problem.grid, problem.params)
-        if problem.potential.time_independent
-        else None
-    )
-    from .schemes import step as scheme_step
-
+    propagator = problem.propagator(scheme_name, tau)
     out = np.empty(n_steps)
     for n in range(n_steps):
-        scheme_step(field, tau, problem.t_start + n * tau, spec,
-                    problem.potential, cache, wcache)
+        propagator.run(field, problem.t_start + n * tau, 1)
         out[n] = abs(mass(field) - m0) / m0
     return out
 
@@ -804,17 +792,11 @@ def per_step_time(
     """Best-of-repeats wall time per step for the propagation loop alone."""
     if n_steps < 1 or repeats < 1:
         raise ValueError("n_steps and repeats must be positive")
-    spec = catalog(scheme_name)
-    cache = build_cache(problem.params, problem.grid)
-    wcache = (
-        WFlowCache(problem.potential, problem.grid, problem.params)
-        if problem.potential.time_independent
-        else None
-    )
+    propagator = problem.propagator(scheme_name, tau)
     best = math.inf
     for _ in range(repeats + 1):  # first pass warms caches and is kept only if fastest
         field = problem.initial.copy()
         start = time.perf_counter()
-        evolve(field, tau, problem.t_start, n_steps, spec, problem.potential, cache, wcache)
+        propagator.run(field, problem.t_start, n_steps)
         best = min(best, (time.perf_counter() - start) / n_steps)
     return best

@@ -324,10 +324,6 @@ class LieElement:
     def is_zero(self) -> bool:
         return not self.coords
 
-    def max_grade(self) -> int:
-        ctx = _context()
-        return max((ctx.grade[n] for n in self.coords), default=0)
-
     def __add__(self, other: "LieElement") -> "LieElement":
         out = dict(self.coords)
         for name, p in other.coords.items():

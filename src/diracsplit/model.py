@@ -20,9 +20,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 __all__ = [
-    "SIGMA1",
-    "SIGMA2",
-    "SIGMA3",
     "PhysParams",
     "Grid",
     "make_grid",
@@ -38,12 +35,6 @@ __all__ = [
     "density",
     "current",
 ]
-
-# Pauli matrices, fixed once so every module agrees on conventions.
-SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
-SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
-
 
 @dataclass(frozen=True)
 class PhysParams:
@@ -65,9 +56,6 @@ class PhysParams:
             if not 0.0 < float(value) <= 1.0:
                 raise ValueError(f"{name} must lie in (0, 1], got {value}")
             object.__setattr__(self, name, float(value))
-
-    def describe(self) -> str:
-        return f"delta={self.delta!r} nu={self.nu!r} epsilon={self.epsilon!r}"
 
 
 @dataclass(frozen=True)
@@ -118,9 +106,6 @@ class Grid:
         if len(coords) != self.dim:
             raise ValueError(f"point has {len(coords)} coordinates, grid is {self.dim}D")
         return tuple(int(round((float(c) - self.a) / self.h)) % self.M for c in coords)
-
-    def describe(self) -> str:
-        return f"dim={self.dim} a={self.a!r} b={self.b!r} M={self.M}"
 
 
 def make_grid(dim: int, a: float, b: float, M: int) -> Grid:

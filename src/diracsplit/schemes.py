@@ -41,6 +41,7 @@ __all__ = [
     "op_count",
     "step",
     "evolve",
+    "Propagator",
     "load_constants",
     "load_constant_strings",
 ]
@@ -288,6 +289,38 @@ def step(
     return field
 
 
+class Propagator:
+    """The flow tables of one solve: `spec` at step tau on one problem.
+
+    The spectral cache carries the T rotations for its (params, grid); a
+    time-independent potential adds a W phase table built here from the
+    same grid and params, so the two tables always belong together.
+    """
+
+    __slots__ = ("spec", "tau", "potential", "cache", "wcache")
+
+    def __init__(self, spec: SchemeSpec, tau: float, potential: Potential,
+                 cache: SpectralCache):
+        self.spec = spec
+        self.tau = tau
+        self.potential = potential
+        self.cache = cache
+        self.wcache = (
+            WFlowCache(potential, cache.grid, cache.params)
+            if potential.time_independent
+            else None
+        )
+
+    def run(self, field: SpinorField, t0: float, n_steps: int) -> SpinorField:
+        """Apply `n_steps` scheme steps in place, step n starting at t0 + n*tau."""
+        if not isinstance(n_steps, int) or n_steps < 0:
+            raise ValueError(f"n_steps must be a nonnegative integer, got {n_steps!r}")
+        for n in range(n_steps):
+            step(field, self.tau, t0 + n * self.tau, self.spec, self.potential,
+                 self.cache, self.wcache)
+        return field
+
+
 def evolve(
     field: SpinorField,
     tau: float,
@@ -296,19 +329,6 @@ def evolve(
     spec: SchemeSpec,
     potential: Potential,
     cache: SpectralCache,
-    wcache: Optional[WFlowCache] = None,
 ) -> SpinorField:
-    """Apply `n_steps` scheme steps, advancing t by tau each step.
-
-    For time-independent potentials a W-flow phase cache is created
-    automatically since every step reuses the same c*tau phases.
-    """
-    if not isinstance(n_steps, int) or n_steps < 0:
-        raise ValueError(f"n_steps must be a nonnegative integer, got {n_steps!r}")
-    if n_steps == 0:
-        return field
-    if wcache is None and potential.time_independent:
-        wcache = WFlowCache(potential, field.grid, cache.params)
-    for n in range(n_steps):
-        step(field, tau, t0 + n * tau, spec, potential, cache, wcache)
-    return field
+    """Apply `n_steps` scheme steps from t0, advancing t by tau each step."""
+    return Propagator(spec, tau, potential, cache).run(field, t0, n_steps)

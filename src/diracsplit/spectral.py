@@ -25,8 +25,6 @@ __all__ = [
     "SpectralCache",
     "WFlowCache",
     "build_cache",
-    "forward_transform",
-    "inverse_transform",
     "apply_T_flow",
     "apply_W_flow",
 ]
@@ -93,16 +91,6 @@ class SpectralCache:
             self._rotations[key] = out
         return out
 
-    def gamma(self) -> np.ndarray:
-        """The per-mode generator Gamma = -i H/(delta eps^2), shape (*shape, 2, 2)."""
-        scale = -1.0j * self.phase_scale
-        out = np.empty((*self.grid.shape, 2, 2), dtype=np.complex128)
-        out[..., 0, 0] = scale * self.nz
-        out[..., 0, 1] = scale * (self.nx - 1.0j * self.ny)
-        out[..., 1, 0] = scale * (self.nx + 1.0j * self.ny)
-        out[..., 1, 1] = -scale * self.nz
-        return out
-
 
 def build_cache(params: PhysParams, grid: Grid) -> SpectralCache:
     """Precompute the per-mode data of T for `grid` under `params`."""
@@ -115,15 +103,18 @@ class WFlowCache:
     Valid only for time-independent potentials; the sampled V/delta table is
     computed once and a phase array is memoized per distinct c*tau value,
     which is what repeated scheme steps at fixed tau hit.  The cache records
-    its grid, and `apply_W_flow` rejects it on a field of another grid.
+    its grid, the `cache_token` of its potential and its delta, and
+    `apply_W_flow` rejects it when any of them differs from the flow's own.
     """
 
-    __slots__ = ("grid", "_v_over_delta", "_phases")
+    __slots__ = ("grid", "cache_token", "delta", "_v_over_delta", "_phases")
 
     def __init__(self, potential: Potential, grid: Grid, params: PhysParams):
         if not potential.time_independent:
             raise ValueError("WFlowCache requires a time-independent potential")
         self.grid = grid
+        self.cache_token = potential.cache_token
+        self.delta = params.delta
         self._v_over_delta = potential.sample_grid(0.0, grid) / params.delta
         self._phases: dict[float, np.ndarray] = {}
 
@@ -139,28 +130,6 @@ class WFlowCache:
 def _check_grids(field: SpinorField, grid: Grid) -> None:
     if field.grid != grid:
         raise ValueError(f"field grid ({field.grid}) does not match ({grid})")
-
-
-def forward_transform(field: SpinorField) -> np.ndarray:
-    """Fourier coefficients U~_l = (1/M^dim) sum_j U_j e^{-2 pi i j.l / M}.
-
-    Output has the same shape as field.values with modes in FFT layout
-    (l = 0..M/2-1, -M/2..-1 per axis).
-    """
-    axes = tuple(range(1, 1 + field.grid.dim))
-    scale = 1.0 / field.grid.M ** field.grid.dim
-    return np.fft.fftn(field.values, axes=axes) * scale
-
-
-def inverse_transform(coefficients: np.ndarray, grid: Grid) -> SpinorField:
-    """Inverse of `forward_transform`: U_j = sum_l U~_l e^{2 pi i j.l / M}."""
-    if coefficients.shape != (2, *grid.shape):
-        raise ValueError(
-            f"coefficient shape {coefficients.shape} does not match grid {(2, *grid.shape)}"
-        )
-    axes = tuple(range(1, 1 + grid.dim))
-    scale = grid.M ** grid.dim
-    return SpinorField(grid, np.fft.ifftn(coefficients, axes=axes) * scale)
 
 
 def apply_T_flow(field: SpinorField, ctau: float, cache: SpectralCache) -> SpinorField:
@@ -205,10 +174,16 @@ def apply_W_flow(
 
     t_eval is ignored for time-independent potentials.  When `wcache` is
     supplied (time-independent potentials only) the phase table is reused
-    across steps; it must have been built on the field's grid.
+    across steps; it must have been built on the field's grid from the same
+    potential and delta.
     """
     if wcache is not None:
         _check_grids(field, wcache.grid)
+        if wcache.cache_token != potential.cache_token or wcache.delta != params.delta:
+            raise ValueError(
+                f"W phase table of potential {wcache.cache_token!r} at delta={wcache.delta!r} "
+                f"does not match {potential.cache_token!r} at delta={params.delta!r}"
+            )
         phase = wcache.phases(ctau)
     else:
         v = potential.sample_grid(t_eval, field.grid)

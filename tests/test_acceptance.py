@@ -47,7 +47,7 @@ from diracsplit.lie import (
 )
 from diracsplit.model import PhysParams, make_grid, mass
 from diracsplit.schemes import CATALOG_NAMES, catalog, evolve, op_count
-from diracsplit.spectral import WFlowCache, apply_T_flow, build_cache
+from diracsplit.spectral import apply_T_flow, build_cache
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -230,13 +230,12 @@ def test_criterion_06_spatial_accuracy(acc_cache):
 def test_criterion_07_mass_conservation():
     problem = gaussian_problem_1d()
     cache = build_cache(problem.params, problem.grid)
-    wcache = WFlowCache(problem.potential, problem.grid, problem.params)
     start = time.perf_counter()
     drifts = {}
     for name in CATALOG_NAMES:
         field = problem.initial.copy()
         m0 = mass(field)
-        evolve(field, 1e-3, 0.0, 1000, catalog(name), problem.potential, cache, wcache)
+        evolve(field, 1e-3, 0.0, 1000, catalog(name), problem.potential, cache)
         drifts[name] = relative_mass_drift(field, m0)
     elapsed = time.perf_counter() - start
     worst = max(drifts.values())

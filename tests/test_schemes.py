@@ -17,6 +17,7 @@ from diracsplit.model import (
 )
 from diracsplit.schemes import (
     CATALOG_NAMES,
+    Propagator,
     SchemeStep,
     catalog,
     catalog_names,
@@ -25,7 +26,7 @@ from diracsplit.schemes import (
     op_count,
     step,
 )
-from diracsplit.spectral import build_cache
+from diracsplit.spectral import WFlowCache, build_cache
 
 from conftest import random_field
 
@@ -207,6 +208,44 @@ class TestStepping:
         np.testing.assert_array_equal(f.values, before)
         with pytest.raises(ValueError):
             evolve(f, 0.1, 0.0, -1, catalog("S2"), zero_potential(), cache)
+
+    # One S6c step (tau = 0.1, M = 64) with either foreign table puts the
+    # field 0.062 (other potential) or 0.107 (other delta) off in max norm.
+    @pytest.mark.parametrize("source", ["potential", "delta"])
+    def test_step_rejects_foreign_w_table(self, source, grid1d, params, field1d):
+        cache = build_cache(params, grid1d)
+        potential = rational_potential_1d()
+        if source == "potential":
+            foreign = WFlowCache(constant_potential(0.5), grid1d, params)
+        else:
+            foreign = WFlowCache(potential, grid1d, PhysParams(delta=0.5))
+        before = field1d.values.copy()
+        with pytest.raises(ValueError, match="does not match"):
+            step(field1d, 0.1, 0.0, catalog("S6c"), potential, cache, foreign)
+        np.testing.assert_array_equal(field1d.values, before)
+
+
+class TestPropagator:
+    def test_builds_w_table_only_for_time_independent_v(self, grid1d, grid2d, params):
+        static = Propagator(catalog("S6c"), 0.1, rational_potential_1d(),
+                            build_cache(params, grid1d))
+        assert static.wcache.grid == grid1d
+        assert static.wcache.cache_token == "analytic-1d:rational"
+        driven = Propagator(catalog("S6c"), 0.1, honeycomb_potential("linear"),
+                            build_cache(params, grid2d))
+        assert driven.wcache is None
+
+    def test_run_equals_steps_over_its_own_w_table(self, grid2d, params, rng):
+        cache = build_cache(params, grid2d)
+        p = honeycomb_potential("constant")
+        spec = catalog("S6c")
+        f = random_field(grid2d, rng)
+        by_run = Propagator(spec, 0.05, p, cache).run(f.copy(), 0.3, 3)
+        wcache = WFlowCache(p, grid2d, params)
+        by_steps = f.copy()
+        for k in range(3):
+            step(by_steps, 0.05, 0.3 + 0.05 * k, spec, p, cache, wcache)
+        np.testing.assert_array_equal(by_run.values, by_steps.values)
 
 
 @pytest.fixture(scope="module")

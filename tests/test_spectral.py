@@ -18,16 +18,42 @@ from diracsplit.model import (
     mass,
     rational_potential_1d,
 )
-from diracsplit.spectral import (
-    WFlowCache,
-    apply_T_flow,
-    apply_W_flow,
-    build_cache,
-    forward_transform,
-    inverse_transform,
-)
+from diracsplit.spectral import WFlowCache, apply_T_flow, apply_W_flow, build_cache
 
 from conftest import random_field
+
+
+def forward_transform(field):
+    """Fourier coefficients U~_l = (1/M^dim) sum_j U_j e^{-2 pi i j.l / M}.
+
+    Output has the same shape as field.values with modes in FFT layout
+    (l = 0..M/2-1, -M/2..-1 per axis).
+    """
+    axes = tuple(range(1, 1 + field.grid.dim))
+    scale = 1.0 / field.grid.M ** field.grid.dim
+    return np.fft.fftn(field.values, axes=axes) * scale
+
+
+def inverse_transform(coefficients, grid):
+    """Inverse of `forward_transform`: U_j = sum_l U~_l e^{2 pi i j.l / M}."""
+    if coefficients.shape != (2, *grid.shape):
+        raise ValueError(
+            f"coefficient shape {coefficients.shape} does not match grid {(2, *grid.shape)}"
+        )
+    axes = tuple(range(1, 1 + grid.dim))
+    scale = grid.M ** grid.dim
+    return SpinorField(grid, np.fft.ifftn(coefficients, axes=axes) * scale)
+
+
+def gamma(cache):
+    """The per-mode generator Gamma = -i H/(delta eps^2), shape (*shape, 2, 2)."""
+    scale = -1.0j * cache.phase_scale
+    out = np.empty((*cache.grid.shape, 2, 2), dtype=np.complex128)
+    out[..., 0, 0] = scale * cache.nz
+    out[..., 0, 1] = scale * (cache.nx - 1.0j * cache.ny)
+    out[..., 1, 0] = scale * (cache.nx + 1.0j * cache.ny)
+    out[..., 1, 1] = -scale * cache.nz
+    return out
 
 
 def dense_T_matrix(params, grid):
@@ -37,7 +63,7 @@ def dense_T_matrix(params, grid):
     conjugated by the DFT, for use with scipy's expm as an oracle.
     """
     cache = build_cache(params, grid)
-    gamma = cache.gamma().reshape(-1, 2, 2)
+    per_mode = gamma(cache).reshape(-1, 2, 2)
     n = grid.M ** grid.dim
     F = np.fft.fft(np.eye(grid.M), axis=0) / grid.M
     if grid.dim == 2:
@@ -46,7 +72,7 @@ def dense_T_matrix(params, grid):
     T = np.zeros((2 * n, 2 * n), dtype=np.complex128)
     for a in range(2):
         for b in range(2):
-            T[a * n:(a + 1) * n, b * n:(b + 1) * n] = Finv @ np.diag(gamma[:, a, b]) @ F
+            T[a * n:(a + 1) * n, b * n:(b + 1) * n] = Finv @ np.diag(per_mode[:, a, b]) @ F
     return T
 
 
