@@ -10,19 +10,22 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
+from dataclasses import replace
 from pathlib import Path
-from typing import Optional, Sequence, TextIO
+from typing import Optional, Sequence
 
 from . import __version__
-from .config import ConfigError, RunConfig, default_config, parse_config
+from .config import ConfigError, RunConfig, parse_config
 from .harness import (
     ErrorRecord,
+    ReferenceProtocol,
     SpatialStudy,
     SuperresResult,
     TemporalStudy,
+    _reference_header,
+    _solve,
     _steps_for_span,
-    relative_mass_drift,
+    _write_reference,
     spatial_convergence,
     superres_sweep,
     temporal_convergence,
@@ -54,22 +57,22 @@ def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
-def _open_output(path: str) -> tuple[TextIO, bool]:
-    if path == "-" or path == "":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
-
-
-def _metadata_lines(cfg: RunConfig, command: str) -> list[str]:
-    lines = [
+def _write(args, cfg: RunConfig, command: str, lines: Sequence[str]) -> None:
+    """Write the metadata block and then `lines` to --output, else the
+    config's csv path ('-' or empty for stdout)."""
+    text = "\n".join([
         f"# diracsplit {__version__}",
         f"# command: {command}",
         f"# config-sha256: {cfg.content_hash()}",
         "# resolved config:",
-    ]
-    for line in cfg.to_text().splitlines():
-        lines.append(f"#   {line}")
-    return lines
+        *(f"#   {line}" for line in cfg.to_text().splitlines()),
+        *lines,
+    ]) + "\n"
+    path = args.output if args.output is not None else cfg.csv_path
+    if path in ("-", ""):
+        sys.stdout.write(text)
+    else:
+        Path(path).write_text(text, encoding="utf-8")
 
 
 def _record_row(r: ErrorRecord, rate: Optional[float]) -> str:
@@ -79,11 +82,6 @@ def _record_row(r: ErrorRecord, rate: Optional[float]) -> str:
         _fmt(r.wall_time), "" if rate is None else _fmt(rate),
     ]
     return ",".join(cells)
-
-
-def _emit(out: TextIO, lines: Sequence[str]) -> None:
-    for line in lines:
-        print(line, file=out)
 
 
 def _diag(message: str) -> None:
@@ -150,57 +148,26 @@ def _maybe_gnuplot(target: Optional[tuple[str, str]], xlabel: str, xcol: int,
 
 
 def _load_config(args) -> RunConfig:
-    if args.config is None:
-        cfg = default_config()
-    else:
-        cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
-    overrides = {}
-    if getattr(args, "workers", None) is not None:
-        overrides["workers"] = args.workers
-    if getattr(args, "cache_dir", None) is not None:
-        overrides["cache_dir"] = args.cache_dir
-    if overrides:
-        from dataclasses import replace
-
-        cfg = replace(cfg, **overrides)
-    return cfg
-
-
-def _out_stream(args, cfg: RunConfig) -> tuple[TextIO, bool]:
-    path = args.output if args.output is not None else cfg.csv_path
-    return _open_output(path)
+    text = "" if args.config is None else Path(args.config).read_text(encoding="utf-8")
+    overrides = {name: getattr(args, name) for name in ("workers", "cache_dir")
+                 if getattr(args, name) is not None}
+    return parse_config(text, **overrides)
 
 
 def _cmd_solve(args) -> int:
     cfg = _load_config(args)
     problem = cfg.problem()
     n = _steps_for_span(cfg.t_final, cfg.tau)
-    propagator = problem.propagator(cfg.scheme, cfg.tau)
-    field = problem.initial.copy()
-    m0 = mass(field)
-    start = time.perf_counter()
-    propagator.run(field, 0.0, n)
-    wall = time.perf_counter() - start
-    field.check_finite()
-    m1 = mass(field)
-    drift = relative_mass_drift(field, m0)
+    field, wall, drift = _solve(problem, cfg.scheme, cfg.tau, n)
     if args.state_out:
-        from .harness import ReferenceProtocol, _reference_header, _write_reference
-
         header = _reference_header(problem, cfg.t_final,
                                    ReferenceProtocol(scheme=cfg.scheme, tau=cfg.tau))
         _write_reference(Path(args.state_out), header, field.values)
         _diag(f"wrote final state to {args.state_out}")
-    out, close = _out_stream(args, cfg)
-    try:
-        _emit(out, _metadata_lines(cfg, "solve"))
-        _emit(out, [
-            f"scheme={cfg.scheme} steps={n} tau={_fmt(cfg.tau)} t_final={_fmt(cfg.t_final)} "
-            f"mass={_fmt(m1)} mass_drift={_fmt(drift)} wall_time={_fmt(wall)}"
-        ])
-    finally:
-        if close:
-            out.close()
+    _write(args, cfg, "solve", [
+        f"scheme={cfg.scheme} steps={n} tau={_fmt(cfg.tau)} t_final={_fmt(cfg.t_final)} "
+        f"mass={_fmt(mass(field))} mass_drift={_fmt(drift)} wall_time={_fmt(wall)}"
+    ])
     return 0
 
 
@@ -213,20 +180,14 @@ def _cmd_converge_time(args) -> int:
         floor_factor=cfg.floor_factor, cache_dir=cfg.resolved_cache_dir(),
         workers=cfg.workers,
     )
-    out, close = _out_stream(args, cfg)
-    try:
-        _emit(out, _metadata_lines(cfg, "converge-time"))
-        _emit(out, [",".join(CSV_COLUMNS)])
-        for r, rate in zip(study.records, study.rates_phi):
-            _emit(out, [_record_row(r, rate)])
-        for name, fit in (("e_phi", study.fit_phi), ("e_rho", study.fit_rho),
-                          ("e_J", study.fit_J)):
-            order = "saturated" if fit.saturated else _fmt(fit.order)
-            _emit(out, [f"# fitted-order {name}: {order} (floor {_fmt(fit.floor)}, "
-                        f"points {list(fit.points_used)})"])
-    finally:
-        if close:
-            out.close()
+    lines = [",".join(CSV_COLUMNS)]
+    lines += [_record_row(r, rate) for r, rate in zip(study.records, study.rates_phi)]
+    for name, fit in (("e_phi", study.fit_phi), ("e_rho", study.fit_rho),
+                      ("e_J", study.fit_J)):
+        order = "saturated" if fit.saturated else _fmt(fit.order)
+        lines.append(f"# fitted-order {name}: {order} (floor {_fmt(fit.floor)}, "
+                     f"points {list(fit.points_used)})")
+    _write(args, cfg, "converge-time", lines)
     first = study.records[0]
     _maybe_gnuplot(gnuplot, "tau", 3, (first.tau, max(first.e_phi, 1e-300)))
     if study.saturated:
@@ -240,26 +201,17 @@ def _cmd_converge_space(args) -> int:
     gnuplot = _gnuplot_target(args, cfg)
 
     def factory(h: float):
-        from dataclasses import replace
-
-        m = round((cfg.b - cfg.a) / h)
-        return replace(cfg, M=m).problem()
+        return replace(cfg, M=round((cfg.b - cfg.a) / h)).problem()
 
     study: SpatialStudy = spatial_convergence(
         cfg.scheme, cfg.h_list, factory, cfg.space_tau, cfg.t_final, cfg.reference_h,
         cache_dir=cfg.resolved_cache_dir(), workers=cfg.workers,
     )
-    out, close = _out_stream(args, cfg)
-    try:
-        _emit(out, _metadata_lines(cfg, "converge-space"))
-        _emit(out, [",".join(CSV_COLUMNS)])
-        # the rate column carries the successive error drop e_{k-1}/e_k:
-        # spectral accuracy has no algebraic order to fit
-        for r, ratio in zip(study.records, study.ratios):
-            _emit(out, [_record_row(r, ratio)])
-    finally:
-        if close:
-            out.close()
+    # the rate column carries the successive error drop e_{k-1}/e_k:
+    # spectral accuracy has no algebraic order to fit
+    _write(args, cfg, "converge-space", [",".join(CSV_COLUMNS)] + [
+        _record_row(r, ratio) for r, ratio in zip(study.records, study.ratios)
+    ])
     first = study.records[0]
     _maybe_gnuplot(gnuplot, "h", 2, (first.h, max(first.e_phi, 1e-300)))
     return 0
@@ -268,38 +220,27 @@ def _cmd_converge_space(args) -> int:
 def _cmd_superres(args) -> int:
     cfg = _load_config(args)
     gnuplot = _gnuplot_target(args, cfg)
-    spec = cfg.sweep_spec()
 
     def factory(eps):
         return cfg.problem(epsilon=float(eps))
 
     result: SuperresResult = superres_sweep(
-        spec, cfg.sweep_t, scheme=cfg.scheme, problem_factory=factory,
+        cfg.sweep_spec(), cfg.sweep_t, scheme=cfg.scheme, problem_factory=factory,
         cache_dir=cfg.resolved_cache_dir(), workers=cfg.workers,
     )
-    out, close = _out_stream(args, cfg)
-    try:
-        _emit(out, _metadata_lines(cfg, "superres"))
-        _emit(out, [",".join(CSV_COLUMNS)])
-        for i, j, r in result.cells:
-            _emit(out, [_record_row(r, None)])
-        # paper-shaped matrix block: rows epsilon (descending), columns tau
-        taus = "  ".join(_fmt(t) for t in result.taus)
-        _emit(out, [f"# matrix e_phi: columns tau = {taus}"])
-        cell_map = result.cell_map()
-        for i, eps in enumerate(result.epsilons):
-            row = [
-                _fmt(cell_map[(i, j)].e_phi) if (i, j) in cell_map else "."
-                for j in range(len(result.taus))
-            ]
-            _emit(out, [f"# eps={_fmt(eps)}: " + "  ".join(row)])
-        _emit(out, ["# max-over-eps: " + "  ".join(_fmt(v) for v in result.column_max)])
-        _emit(out, ["# rates: " + "  ".join(
-            "-" if r is None else _fmt(r) for r in result.rates
-        )])
-    finally:
-        if close:
-            out.close()
+    lines = [",".join(CSV_COLUMNS)] + [_record_row(r, None) for _, _, r in result.cells]
+    # paper-shaped matrix block: rows epsilon (descending), columns tau
+    lines.append("# matrix e_phi: columns tau = " + "  ".join(_fmt(t) for t in result.taus))
+    cell_map = result.cell_map()
+    for i, eps in enumerate(result.epsilons):
+        row = [
+            _fmt(cell_map[(i, j)].e_phi) if (i, j) in cell_map else "."
+            for j in range(len(result.taus))
+        ]
+        lines.append(f"# eps={_fmt(eps)}: " + "  ".join(row))
+    lines.append("# max-over-eps: " + "  ".join(_fmt(v) for v in result.column_max))
+    lines.append("# rates: " + "  ".join("-" if r is None else _fmt(r) for r in result.rates))
+    _write(args, cfg, "superres", lines)
     _maybe_gnuplot(gnuplot, "tau", 3, (result.taus[0], max(result.column_max[0], 1e-300)))
     return 0
 
@@ -386,32 +327,27 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"diracsplit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_run_args(p, output=True):
+    def add_run_args(p):
         p.add_argument("-c", "--config", help="path to a run configuration file")
         p.add_argument("--workers", type=int, help="override the worker count")
         p.add_argument("--cache-dir", help="override the reference cache directory")
-        if output:
-            p.add_argument("-o", "--output",
-                           help="data output path ('-' for stdout, the default)")
-            p.add_argument("--gnuplot", nargs="?", const="plot.gp",
-                           help="also write a gnuplot (>= 5) script to this path")
+        p.add_argument("-o", "--output", help="data output path ('-' for stdout, the default)")
 
     p = sub.add_parser("solve", help="propagate once and print a summary line")
     add_run_args(p)
     p.add_argument("--state-out", help="dump the final spinor field to this path")
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("converge-time", help="temporal convergence study (CSV)")
-    add_run_args(p)
-    p.set_defaults(func=_cmd_converge_time)
-
-    p = sub.add_parser("converge-space", help="spatial convergence study (CSV)")
-    add_run_args(p)
-    p.set_defaults(func=_cmd_converge_space)
-
-    p = sub.add_parser("superres", help="(epsilon, tau) error sweep (CSV + matrix)")
-    add_run_args(p)
-    p.set_defaults(func=_cmd_superres)
+    for name, help_text, func in (
+        ("converge-time", "temporal convergence study (CSV)", _cmd_converge_time),
+        ("converge-space", "spatial convergence study (CSV)", _cmd_converge_space),
+        ("superres", "(epsilon, tau) error sweep (CSV + matrix)", _cmd_superres),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        add_run_args(p)
+        p.add_argument("--gnuplot", nargs="?", const="plot.gp",
+                       help="also write a gnuplot (>= 5) script to this path")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("coeffs", help="derive or verify the compact sixth-order constants")
     group = p.add_mutually_exclusive_group(required=True)
@@ -439,13 +375,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, KeyError) as exc:
+    except KeyError as exc:  # str() of a KeyError would quote its message
         _diag(f"error: {exc.args[0] if exc.args else exc}")
         return 1
-    except ValueError as exc:
-        _diag(f"error: {exc}")
-        return 1
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         _diag(f"error: {exc}")
         return 1
     except FloatingPointError as exc:

@@ -2,16 +2,18 @@
 
 The format is deliberately tiny: `[section]` headers, one `key = value`
 per line, full-line comments starting with `#`, blank lines ignored.
-The schema is closed; unknown sections or keys are errors, not warnings,
-and every diagnostic carries the offending line number.  A parsed config
-echoes back to text losslessly: parsing the echo reproduces it exactly.
+The fields of `RunConfig` are the schema: each carries its section, key,
+parser and default.  The schema is closed; unknown sections or keys are
+errors, not warnings, and every diagnostic carries the offending line
+number.  A parsed config echoes back to text losslessly: parsing the echo
+reproduces it exactly.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Any, Callable, Optional
 
@@ -111,49 +113,11 @@ def _render(value: Any) -> str:
 # ---------------------------------------------------------------------------
 # schema
 
-# field name -> (section, key, parser, default)
-_SCHEMA: dict[str, tuple[str, str, Callable[[str], Any], Any]] = {
-    "dim": ("model", "dim", _parse_int, 1),
-    "delta": ("model", "delta", _parse_float, 1.0),
-    "nu": ("model", "nu", _parse_float, 1.0),
-    "epsilon": ("model", "epsilon", _parse_float, 1.0),
-    "a": ("model", "a", _parse_float, -16.0),
-    "b": ("model", "b", _parse_float, 16.0),
-    "M": ("model", "M", _parse_int, 512),
-    "potential_kind": ("potential", "kind", _parse_str, "rational"),
-    "potential_value": ("potential", "value", _parse_float, 0.0),
-    "theta": ("potential", "theta", _parse_str, "constant"),
-    "initial_kind": ("initial", "kind", _parse_str, "gaussian"),
-    "center1": ("initial", "center1", _parse_floats, (0.0,)),
-    "center2": ("initial", "center2", _parse_floats, (1.0,)),
-    "scheme": ("run", "scheme", _parse_str, "S6c"),
-    "t_final": ("run", "t_final", _parse_float, 1.0),
-    "tau": ("run", "tau", _parse_float, 1e-3),
-    "seed": ("run", "seed", _parse_int, 0),
-    "workers": ("run", "workers", _parse_int, 1),
-    "cache_dir": ("run", "cache_dir", _parse_str, ""),
-    "taus": ("study", "taus", _parse_floats,
-             (0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.0078125)),
-    "reference_scheme": ("study", "reference_scheme", _parse_str, "S6c"),
-    "reference_tau": ("study", "reference_tau", _parse_float, 0.0009765625),
-    "floor_factor": ("study", "floor_factor", _parse_float, 10.0),
-    "h_list": ("space", "h_list", _parse_floats, (1.0, 0.5, 0.25, 0.125)),
-    "reference_h": ("space", "reference_h", _parse_float, 0.03125),
-    "space_tau": ("space", "tau", _parse_float, 1e-3),
-    "sweep_mode": ("sweep", "mode", _parse_str, "resonant"),
-    "sweep_tau0": ("sweep", "tau0", _parse_fraction, Fraction(1, 2)),
-    "sweep_factor": ("sweep", "factor", _parse_int, 4),
-    "sweep_count": ("sweep", "count", _parse_int, 4),
-    "sweep_epsilons": ("sweep", "epsilons", _parse_fractions,
-                       tuple(Fraction(1, 2**m) for m in range(6))),
-    "sweep_reference_tau": ("sweep", "reference_tau", _parse_fraction, Fraction(1, 4096)),
-    "sweep_t": ("sweep", "t", _parse_fraction, Fraction(2)),
-    "csv_path": ("output", "csv", _parse_str, "-"),
-    "gnuplot_path": ("output", "gnuplot", _parse_str, ""),
-}
 
-_SECTION_ORDER = ("model", "potential", "initial", "run", "study", "space", "sweep", "output")
-_BY_SECTION_KEY = {(section, key): name for name, (section, key, _, _) in _SCHEMA.items()}
+def _key(section: str, key: str, parse: Callable[[str], Any], default: Any):
+    """A config key: its `[section]`, its name there, its parser and default."""
+    return field(default=default, metadata={"section": section, "key": key, "parse": parse})
+
 
 _POTENTIAL_KINDS = ("zero", "constant", "rational", "honeycomb")
 _THETA_MODES = ("constant", "linear", "cosine")
@@ -162,43 +126,50 @@ _SWEEP_MODES = ("resonant", "nonresonant")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A fully resolved run configuration (defaults included)."""
+    """A fully resolved run configuration; its fields are the schema.
 
-    dim: int
-    delta: float
-    nu: float
-    epsilon: float
-    a: float
-    b: float
-    M: int
-    potential_kind: str
-    potential_value: float
-    theta: str
-    initial_kind: str
-    center1: tuple[float, ...]
-    center2: tuple[float, ...]
-    scheme: str
-    t_final: float
-    tau: float
-    seed: int
-    workers: int
-    cache_dir: str
-    taus: tuple[float, ...]
-    reference_scheme: str
-    reference_tau: float
-    floor_factor: float
-    h_list: tuple[float, ...]
-    reference_h: float
-    space_tau: float
-    sweep_mode: str
-    sweep_tau0: Fraction
-    sweep_factor: int
-    sweep_count: int
-    sweep_epsilons: tuple[Fraction, ...]
-    sweep_reference_tau: Fraction
-    sweep_t: Fraction
-    csv_path: str
-    gnuplot_path: str
+    Field order is the order of sections and of keys within a section in
+    `to_text()`, and so part of every config echo and content hash.
+    """
+
+    dim: int = _key("model", "dim", _parse_int, 1)
+    delta: float = _key("model", "delta", _parse_float, 1.0)
+    nu: float = _key("model", "nu", _parse_float, 1.0)
+    epsilon: float = _key("model", "epsilon", _parse_float, 1.0)
+    a: float = _key("model", "a", _parse_float, -16.0)
+    b: float = _key("model", "b", _parse_float, 16.0)
+    M: int = _key("model", "M", _parse_int, 512)
+    potential_kind: str = _key("potential", "kind", _parse_str, "rational")
+    potential_value: float = _key("potential", "value", _parse_float, 0.0)
+    theta: str = _key("potential", "theta", _parse_str, "constant")
+    initial_kind: str = _key("initial", "kind", _parse_str, "gaussian")
+    center1: tuple[float, ...] = _key("initial", "center1", _parse_floats, (0.0,))
+    center2: tuple[float, ...] = _key("initial", "center2", _parse_floats, (1.0,))
+    scheme: str = _key("run", "scheme", _parse_str, "S6c")
+    t_final: float = _key("run", "t_final", _parse_float, 1.0)
+    tau: float = _key("run", "tau", _parse_float, 1e-3)
+    seed: int = _key("run", "seed", _parse_int, 0)
+    workers: int = _key("run", "workers", _parse_int, 1)
+    cache_dir: str = _key("run", "cache_dir", _parse_str, "")
+    taus: tuple[float, ...] = _key("study", "taus", _parse_floats,
+                                   (0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.0078125))
+    reference_scheme: str = _key("study", "reference_scheme", _parse_str, "S6c")
+    reference_tau: float = _key("study", "reference_tau", _parse_float, 0.0009765625)
+    floor_factor: float = _key("study", "floor_factor", _parse_float, 10.0)
+    h_list: tuple[float, ...] = _key("space", "h_list", _parse_floats, (1.0, 0.5, 0.25, 0.125))
+    reference_h: float = _key("space", "reference_h", _parse_float, 0.03125)
+    space_tau: float = _key("space", "tau", _parse_float, 1e-3)
+    sweep_mode: str = _key("sweep", "mode", _parse_str, "resonant")
+    sweep_tau0: Fraction = _key("sweep", "tau0", _parse_fraction, Fraction(1, 2))
+    sweep_factor: int = _key("sweep", "factor", _parse_int, 4)
+    sweep_count: int = _key("sweep", "count", _parse_int, 4)
+    sweep_epsilons: tuple[Fraction, ...] = _key("sweep", "epsilons", _parse_fractions,
+                                                tuple(Fraction(1, 2**m) for m in range(6)))
+    sweep_reference_tau: Fraction = _key("sweep", "reference_tau", _parse_fraction,
+                                         Fraction(1, 4096))
+    sweep_t: Fraction = _key("sweep", "t", _parse_fraction, Fraction(2))
+    csv_path: str = _key("output", "csv", _parse_str, "-")
+    gnuplot_path: str = _key("output", "gnuplot", _parse_str, "")
 
     # -- rendering ---------------------------------------------------------
 
@@ -207,9 +178,9 @@ class RunConfig:
         out: list[str] = []
         for section in _SECTION_ORDER:
             out.append(f"[{section}]")
-            for name, (sec, key, _, _) in _SCHEMA.items():
-                if sec == section:
-                    out.append(f"{key} = {_render(getattr(self, name))}")
+            for name, meta in _SCHEMA.items():
+                if meta["section"] == section:
+                    out.append(f"{meta['key']} = {_render(getattr(self, name))}")
             out.append("")
         return "\n".join(out)
 
@@ -265,8 +236,14 @@ class RunConfig:
         return self.cache_dir or None
 
 
+# field name -> {"section", "key", "parse"}
+_SCHEMA = {f.name: f.metadata for f in fields(RunConfig)}
+_BY_SECTION_KEY = {(meta["section"], meta["key"]): name for name, meta in _SCHEMA.items()}
+_SECTION_ORDER = tuple(dict.fromkeys(meta["section"] for meta in _SCHEMA.values()))
+
+
 def default_config() -> RunConfig:
-    return RunConfig(**{name: spec[3] for name, spec in _SCHEMA.items()})
+    return RunConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -298,9 +275,8 @@ def _parse_lines(text: str) -> dict[str, tuple[Any, int]]:
             raise ConfigError(f"unknown key {key!r} in section [{section}]", lineno)
         if name in values:
             raise ConfigError(f"duplicate key {key!r} in section [{section}]", lineno)
-        parser = _SCHEMA[name][2]
         try:
-            values[name] = (parser(value), lineno)
+            values[name] = (_SCHEMA[name]["parse"](value), lineno)
         except ValueError as exc:
             raise ConfigError(f"{key}: {exc}", lineno) from None
     return values
@@ -311,15 +287,17 @@ def _check(cond: bool, message: str, line: Optional[int]) -> None:
         raise ConfigError(message, line)
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate; raises ConfigError with a line number on failure."""
+def parse_config(text: str, **overrides: Any) -> RunConfig:
+    """Parse, apply `overrides` (field name -> value) and validate the result.
+
+    Raises ConfigError on failure, with the line number of the offending
+    key when it came from `text`.
+    """
     raw = _parse_lines(text)
-    merged = {name: spec[3] for name, spec in _SCHEMA.items()}
-    lines: dict[str, Optional[int]] = {name: None for name in _SCHEMA}
-    for name, (value, lineno) in raw.items():
-        merged[name] = value
-        lines[name] = lineno
-    cfg = RunConfig(**merged)
+    values = {name: value for name, (value, _) in raw.items()}
+    lines = dict.fromkeys(_SCHEMA)
+    lines.update((name, lineno) for name, (_, lineno) in raw.items() if name not in overrides)
+    cfg = RunConfig(**{**values, **overrides})
     _validate(cfg, lines)
     return cfg
 

@@ -56,6 +56,24 @@ class TestConfigDefaults:
         cfg = parse_config("# comment\n\n[model]\n# another\nM = 128\n\n")
         assert cfg.M == 128
 
+    def test_default_echo_is_pinned(self):
+        # every CSV carries this echo and hash; key order is part of both
+        cfg = default_config()
+        keys = [line.partition(" = ")[0] for line in cfg.to_text().splitlines() if line]
+        assert keys == [
+            "[model]", "dim", "delta", "nu", "epsilon", "a", "b", "M",
+            "[potential]", "kind", "value", "theta",
+            "[initial]", "kind", "center1", "center2",
+            "[run]", "scheme", "t_final", "tau", "seed", "workers", "cache_dir",
+            "[study]", "taus", "reference_scheme", "reference_tau", "floor_factor",
+            "[space]", "h_list", "reference_h", "tau",
+            "[sweep]", "mode", "tau0", "factor", "count", "epsilons", "reference_tau", "t",
+            "[output]", "csv", "gnuplot",
+        ]
+        assert cfg.content_hash() == (
+            "10e53f7098913775f4b87c50d355341c982f9667eef0c9e750e82211619975c1"
+        )
+
 
 class TestConfigParsing:
     def test_overrides_merge_with_defaults(self):
@@ -262,6 +280,21 @@ class TestCliSolve:
         cfg = write_config(tmp_path, "[model]\nM = 511\n")
         assert main(["solve", "-c", str(cfg)]) == 1
         assert "line 2:" in capsys.readouterr().err
+
+    def test_flag_overrides_are_validated(self, capsys, tmp_path):
+        # the echo of an accepted run must parse back; workers = 0 would not
+        cfg = write_config(tmp_path, "[model]\nM = 32\n[run]\ntau = 0.05\nt_final = 0.25\n")
+        assert main(["solve", "-c", str(cfg), "--workers", "0"]) == 1
+        captured = capsys.readouterr()
+        assert "workers must be >= 1" in captured.err
+        assert captured.out == ""
+
+    def test_solve_has_no_gnuplot_flag(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, "[model]\nM = 32\n[run]\ntau = 0.05\nt_final = 0.25\n")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["solve", "-c", str(cfg), "--gnuplot", str(tmp_path / "x.gp")])
+        assert excinfo.value.code == 2
+        assert "--gnuplot" in capsys.readouterr().err
 
 
 class TestCliStudies:

@@ -3,9 +3,11 @@
 bench/layers.py counts work by wrapping module globals and class
 attributes of diracsplit (`schemes.step`, `schemes.apply_T_flow`,
 `schemes.apply_W_flow`, `harness.build_cache`, `spectral.np`,
-`Potential.sample_grid`, `WFlowCache.phases`).  A propagation routed around
+`Potential.sample_grid`, `WFlowCache.phases`, `harness.reference_solution`,
+`harness.error_metrics`, `cli.parse_config`).  A propagation routed around
 those names would still run but read 0 in the benchmark; these counts for
-n S6c steps (4 T and 5 W flows each) catch that.
+n S6c steps (4 T and 5 W flows each), and for the CLI commands the
+benchmark times, catch that.
 """
 
 import importlib.util
@@ -15,6 +17,7 @@ import pytest
 
 import diracsplit
 import diracsplit.cli  # noqa: F401  (the tracer also wraps cli.parse_config)
+from diracsplit.cli import main
 from diracsplit.harness import gaussian_problem_1d, honeycomb_problem
 
 LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
@@ -26,6 +29,17 @@ def _tracer():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module.Tracer(diracsplit)
+
+
+def _traced_main(argv):
+    """Run the CLI with the tracer installed: (exit code, tracer)."""
+    tracer = _tracer()
+    tracer.install()
+    try:
+        code = main(argv)
+    finally:
+        tracer.uninstall()
+    return code, tracer
 
 
 @pytest.mark.parametrize(
@@ -53,3 +67,40 @@ def test_propagator_runs_inside_the_traced_layers(make_problem, samplings):
     assert layers["spectral.W_flow.calls"] == 5 * n
     assert layers["spectral.build_cache.calls"] == 1
     assert layers["model.sample_grid.calls"] == samplings
+
+
+def test_cli_solve_runs_inside_the_traced_layers(tmp_path, capsys):
+    cfg = tmp_path / "solve.cfg"
+    cfg.write_text("[model]\nM = 32\n[run]\ntau = 0.05\nt_final = 0.25\n")
+    code, tracer = _traced_main(["solve", "-c", str(cfg)])
+    assert code == 0
+    assert tracer.calls["config.parse"] == 1
+    assert tracer.calls["schemes.step"] == 5
+    assert tracer.calls["spectral.build_cache"] == 1
+
+
+def test_cli_converge_time_runs_inside_the_traced_layers(tmp_path, capsys):
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(
+        "[model]\nM = 32\n"
+        f"[run]\nscheme = S2\nt_final = 0.5\ncache_dir = {tmp_path / 'refs'}\n"
+        "[study]\ntaus = 0.1, 0.05, 0.025\nreference_tau = 0.003125\n"
+    )
+    cells = 3
+    code, cold = _traced_main(["converge-time", "-c", str(cfg)])
+    assert code == 0
+    assert cold.calls["config.parse"] == 1
+    # one metric per cell, plus the reference against its 2x-coarser twin
+    assert cold.calls["harness.error_metrics"] == cells + 1
+    layers = cold.snapshot()
+    assert (layers["harness.reference.hits"], layers["harness.reference.misses"]) == (0, 2)
+    # cells 5 + 10 + 20 steps; references 160 and 80 steps
+    assert cold.calls["schemes.step"] == 35 + 240
+    assert cold.calls["spectral.build_cache"] == cells + 2
+
+    code, warm = _traced_main(["converge-time", "-c", str(cfg)])
+    assert code == 0
+    layers = warm.snapshot()
+    assert (layers["harness.reference.hits"], layers["harness.reference.misses"]) == (2, 0)
+    assert warm.calls["schemes.step"] == 35
+    assert warm.calls["harness.error_metrics"] == cells + 1
