@@ -156,6 +156,9 @@ def _load_config(args) -> RunConfig:
 
 def _cmd_solve(args) -> int:
     cfg = _load_config(args)
+    if cfg.gnuplot_path:
+        raise ConfigError("solve writes no gnuplot script: only converge-time, "
+                          "converge-space and superres read [output] gnuplot")
     problem = cfg.problem()
     n = _steps_for_span(cfg.t_final, cfg.tau)
     field, wall, drift = _solve(problem, cfg.scheme, cfg.tau, n)

@@ -180,7 +180,11 @@ class Potential:
         return float(self._point(float(t), coords))
 
     def sample_grid(self, t: float, grid: Grid) -> np.ndarray:
-        """V at every grid node, shape grid.shape, dtype float64."""
+        """V at every grid node, shape grid.shape, dtype float64.
+
+        The result may be the potential's own read-only table, so callers
+        must not write into it.
+        """
         out = np.asarray(self._on_grid(float(t), grid), dtype=np.float64)
         if out.shape != grid.shape:
             raise ValueError(f"potential returned shape {out.shape}, expected {grid.shape}")
@@ -262,15 +266,18 @@ def honeycomb_potential(theta_mode: str = "constant") -> Potential:
         return total
 
     def on_grid(t: float, grid: Grid) -> np.ndarray:
+        # cos(p x + q y) = cos(p x) cos(q y) - sin(p x) sin(q y), so V is the
+        # rank-6 product of two (M, 6) tables of 1D cos/sin: 12*M trig
+        # evaluations instead of 3*M^2.
         if grid.dim != 2:
             raise ValueError("honeycomb_potential requires a 2D grid")
-        th = theta(t)
-        X, Y = grid.nodes()
-        out = np.zeros(grid.shape)
-        for k in range(3):
-            ang = th + 2.0 * k * math.pi / 3.0
-            out += np.cos(kappa * (math.cos(ang) * X + math.sin(ang) * Y))
-        return out
+        ang = theta(t) + 2.0 * np.arange(3) * math.pi / 3.0
+        x = grid.axis_nodes()
+        px = np.multiply.outer(x, kappa * np.cos(ang))
+        qy = np.multiply.outer(x, kappa * np.sin(ang))
+        cx = np.concatenate((np.cos(px), -np.sin(px)), axis=1)
+        cy = np.concatenate((np.cos(qy), np.sin(qy)), axis=1)
+        return cx @ cy.T
 
     return Potential(
         "honeycomb-2d",
@@ -288,11 +295,12 @@ def custom_sampled_potential(grid: Grid, values: np.ndarray) -> Potential:
     Point evaluation uses nearest-node lookup (no interpolation); grid
     evaluation requires the same grid shape the table was built on.
     """
-    table = np.ascontiguousarray(values, dtype=np.float64)
+    table = np.array(values, dtype=np.float64)  # a copy the caller cannot reach
     if table.shape != grid.shape:
         raise ValueError(f"values shape {table.shape} does not match grid shape {grid.shape}")
     if not np.all(np.isfinite(table)):
         raise ValueError("sampled potential contains non-finite entries")
+    table.flags.writeable = False
     digest = hashlib.sha256(table.tobytes()).hexdigest()[:16]
 
     def point(t: float, x: tuple[float, ...]) -> float:

@@ -122,9 +122,17 @@ class WFlowCache:
         key = float(ctau)
         out = self._phases.get(key)
         if out is None:
-            out = np.exp(-1.0j * key * self._v_over_delta)
+            out = _unit_phase(-key * self._v_over_delta)
             self._phases[key] = out
         return out
+
+
+def _unit_phase(arg: np.ndarray) -> np.ndarray:
+    """e^{i arg} for real `arg`: cos and sin written into one complex array."""
+    out = np.empty(arg.shape, dtype=np.complex128)
+    np.cos(arg, out=out.real)
+    np.sin(arg, out=out.imag)
+    return out
 
 
 def _check_grids(field: SpinorField, grid: Grid) -> None:
@@ -186,7 +194,7 @@ def apply_W_flow(
             )
         phase = wcache.phases(ctau)
     else:
-        v = potential.sample_grid(t_eval, field.grid)
-        phase = np.exp((-1.0j * float(ctau) / params.delta) * v)
+        phase = _unit_phase(potential.sample_grid(t_eval, field.grid)
+                            * (-float(ctau) / params.delta))
     field.values *= phase
     return field

@@ -296,6 +296,16 @@ class TestCliSolve:
         assert excinfo.value.code == 2
         assert "--gnuplot" in capsys.readouterr().err
 
+    def test_solve_rejects_the_gnuplot_key(self, capsys, tmp_path):
+        out = tmp_path / "out.txt"
+        cfg = write_config(tmp_path, "[model]\nM = 32\n[run]\ntau = 0.05\nt_final = 0.25\n"
+                                     "[output]\ngnuplot = solve.gp\n")
+        assert main(["solve", "-c", str(cfg), "-o", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "only converge-time, converge-space and superres read" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
 
 class TestCliStudies:
     def test_converge_time_csv(self, capsys, tmp_path):

@@ -25,6 +25,24 @@ from diracsplit.model import (
 from conftest import random_field
 
 
+def dense_honeycomb(theta, t, grid):
+    """The honeycomb V by its defining formula, one dense cos per node and k."""
+    kappa = 4.0 * math.pi / math.sqrt(3.0)
+    X, Y = grid.nodes()
+    out = np.zeros(grid.shape)
+    for k in range(3):
+        ang = theta(t) + 2.0 * k * math.pi / 3.0
+        out += np.cos(kappa * (math.cos(ang) * X + math.sin(ang) * Y))
+    return out
+
+
+THETAS = {
+    "constant": lambda t: math.pi,
+    "linear": lambda t: math.pi + math.pi * t,
+    "cosine": lambda t: math.pi + math.pi * math.cos(math.pi * t),
+}
+
+
 class TestPhysParams:
     def test_defaults_are_unit(self):
         p = PhysParams()
@@ -171,6 +189,16 @@ class TestPotentials:
             np.testing.assert_allclose(
                 honeycomb_potential(mode).sample_grid(0.0, g), v0, atol=1e-12)
 
+    @pytest.mark.parametrize("box", [(-8.0, 8.0), (-3.0, 5.0)], ids=["centred", "off-centre"])
+    @pytest.mark.parametrize("M", [16, 256])
+    @pytest.mark.parametrize("mode", sorted(THETAS))
+    def test_honeycomb_grid_matches_dense_formula(self, mode, M, box):
+        g = make_grid(2, *box, M)
+        p = honeycomb_potential(mode)
+        for t in (0.0, 0.3, 0.77, 1.0):
+            np.testing.assert_allclose(p.sample_grid(t, g), dense_honeycomb(THETAS[mode], t, g),
+                                       rtol=0.0, atol=1e-13)
+
     def test_honeycomb_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
             honeycomb_potential("quadratic")
@@ -181,6 +209,17 @@ class TestPotentials:
         np.testing.assert_array_equal(p.sample_grid(0.0, grid1d), table)
         assert p.sample(0.0, grid1d.axis_nodes()[5]) == table[5]
         assert p.time_independent
+
+    def test_custom_sampled_keeps_its_own_table(self, grid1d, rng):
+        values = rng.standard_normal(grid1d.shape)
+        p = custom_sampled_potential(grid1d, values)
+        expected = values.copy()
+        values[:] = 5.0
+        np.testing.assert_array_equal(p.sample_grid(0.0, grid1d), expected)
+        out = p.sample_grid(0.0, grid1d)
+        with pytest.raises(ValueError, match="read-only"):
+            out[0] = 5.0
+        np.testing.assert_array_equal(p.sample_grid(0.0, grid1d), expected)
 
     def test_custom_sampled_rejects_other_grid(self, grid1d, rng):
         p = custom_sampled_potential(grid1d, rng.standard_normal(grid1d.shape))

@@ -12,13 +12,20 @@ from diracsplit.model import (
     PhysParams,
     SpinorField,
     constant_potential,
+    custom_sampled_potential,
     gaussian_ic,
     honeycomb_potential,
     make_grid,
     mass,
     rational_potential_1d,
 )
-from diracsplit.spectral import WFlowCache, apply_T_flow, apply_W_flow, build_cache
+from diracsplit.spectral import (
+    WFlowCache,
+    _unit_phase,
+    apply_T_flow,
+    apply_W_flow,
+    build_cache,
+)
 
 from conftest import random_field
 
@@ -326,6 +333,20 @@ class TestWFlow:
         at_half = apply_W_flow(f.copy(), 0.3, 0.5, p, params)
         phase = np.exp(-0.3j * p.sample_grid(0.5, grid2d) / params.delta)
         np.testing.assert_allclose(at_half.values, f.values * phase, atol=1e-14)
+
+    @pytest.mark.parametrize("ctau", [0.0, -0.37, 250.0, 1.0 / 64.0])
+    def test_unit_phase_matches_complex_exp(self, ctau):
+        g = make_grid(2, -8.0, 8.0, 64)
+        arg = honeycomb_potential("linear").sample_grid(0.3, g) * (-ctau)
+        np.testing.assert_allclose(_unit_phase(arg), np.exp(1j * arg), rtol=0.0, atol=1e-15)
+
+    def test_uncached_flow_leaves_the_table_alone(self, grid1d, params, rng):
+        p = custom_sampled_potential(grid1d, rng.standard_normal(grid1d.shape))
+        table = p.sample_grid(0.0, grid1d).copy()
+        f = random_field(grid1d, rng)
+        got = apply_W_flow(f.copy(), 0.45, 0.0, p, params, wcache=None)
+        np.testing.assert_array_equal(p.sample_grid(0.0, grid1d), table)
+        np.testing.assert_allclose(got.values, f.values * np.exp(-0.45j * table), atol=1e-14)
 
     def test_wcache_matches_direct(self, grid1d, params, rng):
         p = rational_potential_1d()
