@@ -807,34 +807,3 @@ def per_step_time(
         propagator.run(field, problem.t_start, n_steps)
         best = min(best, (time.perf_counter() - start) / n_steps)
     return best
-
-
-def step_time_ratio(
-    scheme_name: str,
-    baseline_name: str,
-    problem: Problem,
-    tau: float,
-    *,
-    rounds: int = 81,
-) -> tuple[float, float, float]:
-    """Median per-step wall times of two schemes and the median of their ratios.
-
-    Each round times one step of each scheme back to back, alternating which
-    goes first, so a drift in machine speed over seconds hits both sides of a
-    round alike and cancels in its ratio; the medians drop the rounds that a
-    burst of load landed on.  Returns (t_scheme, t_baseline, ratio).
-    """
-    if rounds < 1:
-        raise ValueError("rounds must be positive")
-    propagators = (problem.propagator(scheme_name, tau),
-                   problem.propagator(baseline_name, tau))
-    times: tuple[list[float], list[float]] = ([], [])
-    for r in range(rounds + 1):  # round 0 warms the flow tables and is dropped
-        for i in ((0, 1) if r % 2 == 0 else (1, 0)):
-            field = problem.initial.copy()
-            start = time.perf_counter()
-            propagators[i].run(field, problem.t_start, 1)
-            if r > 0:
-                times[i].append(time.perf_counter() - start)
-    ratios = [a / b for a, b in zip(*times)]
-    return float(np.median(times[0])), float(np.median(times[1])), float(np.median(ratios))

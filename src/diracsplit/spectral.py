@@ -123,6 +123,7 @@ class WFlowCache:
         out = self._phases.get(key)
         if out is None:
             out = _unit_phase(-key * self._v_over_delta)
+            out.flags.writeable = False
             self._phases[key] = out
         return out
 

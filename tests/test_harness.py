@@ -32,7 +32,6 @@ from diracsplit.harness import (
     relative_mass_drift,
     resolve_cache_dir,
     spatial_convergence,
-    step_time_ratio,
     successive_rates,
     superres_problem,
     superres_sweep,
@@ -630,11 +629,3 @@ class TestMonitoring:
     def test_per_step_time_rejects_bad_counts(self):
         with pytest.raises(ValueError, match="positive"):
             per_step_time("S2", small_problem(32), 0.05, n_steps=0)
-
-    def test_step_time_ratio_of_a_scheme_with_itself(self):
-        t_a, t_b, ratio = step_time_ratio("S2", "S2", small_problem(32), 0.05, rounds=5)
-        assert t_a > 0.0 and t_b > 0.0 and math.isfinite(ratio) and ratio > 0.0
-
-    def test_step_time_ratio_rejects_bad_rounds(self):
-        with pytest.raises(ValueError, match="positive"):
-            step_time_ratio("S2", "S4", small_problem(32), 0.05, rounds=0)

@@ -356,6 +356,13 @@ class TestWFlow:
         cached = apply_W_flow(f.copy(), 0.25, 3.0, p, params, wcache)
         np.testing.assert_array_equal(direct.values, cached.values)
 
+    def test_wcache_phases_are_read_only(self, grid1d, params):
+        wcache = WFlowCache(rational_potential_1d(), grid1d, params)
+        phases = wcache.phases(0.1)
+        assert wcache.phases(0.1) is phases
+        with pytest.raises(ValueError):
+            phases[...] = 0.0
+
     def test_wcache_rejects_field_on_another_grid(self, params):
         # Same M, wider box: the phases would sample V at the wrong nodes.
         built_on = make_grid(2, -8.0, 8.0, 128)
