@@ -17,13 +17,9 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Any, Callable, Optional
 
-from .harness import (
-    Problem,
-    ReferenceProtocol,
-    SweepSpec,
-    gaussian_problem_1d,
-)
+from .harness import SWEEP_MODES, Problem, ReferenceProtocol, SweepSpec
 from .model import (
+    _THETA_FUNCS,
     PhysParams,
     Potential,
     constant_potential,
@@ -119,11 +115,6 @@ def _key(section: str, key: str, parse: Callable[[str], Any], default: Any):
     return field(default=default, metadata={"section": section, "key": key, "parse": parse})
 
 
-_POTENTIAL_KINDS = ("zero", "constant", "rational", "honeycomb")
-_THETA_MODES = ("constant", "linear", "cosine")
-_SWEEP_MODES = ("resonant", "nonresonant")
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """A fully resolved run configuration; its fields are the schema.
@@ -193,13 +184,8 @@ class RunConfig:
         return PhysParams(delta=self.delta, nu=self.nu, epsilon=self.epsilon)
 
     def potential(self) -> Potential:
-        if self.potential_kind == "zero":
-            return zero_potential(self.dim)
-        if self.potential_kind == "constant":
-            return constant_potential(self.potential_value, self.dim)
-        if self.potential_kind == "rational":
-            return rational_potential_1d()
-        return honeycomb_potential(self.theta)
+        _check(self.potential_kind in _POTENTIALS, _kind_message(self.potential_kind), None)
+        return _POTENTIALS[self.potential_kind][1](self)
 
     def problem(self, epsilon: Optional[float] = None) -> Problem:
         grid = make_grid(self.dim, self.a, self.b, self.M)
@@ -234,6 +220,19 @@ class RunConfig:
 
     def resolved_cache_dir(self) -> Optional[str]:
         return self.cache_dir or None
+
+
+# potential kind -> (the one dim it supports, or None for any; its factory)
+_POTENTIALS: dict[str, tuple[Optional[int], Callable[[RunConfig], Potential]]] = {
+    "zero": (None, lambda cfg: zero_potential()),
+    "constant": (None, lambda cfg: constant_potential(cfg.potential_value)),
+    "rational": (1, lambda cfg: rational_potential_1d()),
+    "honeycomb": (2, lambda cfg: honeycomb_potential(cfg.theta)),
+}
+
+
+def _kind_message(kind: str) -> str:
+    return f"potential kind must be one of {', '.join(_POTENTIALS)}, got {kind!r}"
 
 
 # field name -> {"section", "key", "parse"}
@@ -310,20 +309,16 @@ def _validate(cfg: RunConfig, at: dict[str, Optional[int]]) -> None:
     _check(cfg.b > cfg.a, f"domain needs b > a, got a={cfg.a!r}, b={cfg.b!r}", at["b"])
     _check(cfg.M >= 2, f"M must be >= 2, got {cfg.M}", at["M"])
     _check(cfg.M % 2 == 0, f"M must be even, got {cfg.M}", at["M"])
+    _check(cfg.potential_kind in _POTENTIALS, _kind_message(cfg.potential_kind),
+           at["potential_kind"])
     _check(
-        cfg.potential_kind in _POTENTIAL_KINDS,
-        f"potential kind must be one of {', '.join(_POTENTIAL_KINDS)}, got {cfg.potential_kind!r}",
-        at["potential_kind"],
-    )
-    _check(
-        cfg.theta in _THETA_MODES,
-        f"theta must be one of {', '.join(_THETA_MODES)}, got {cfg.theta!r}",
+        cfg.theta in _THETA_FUNCS,
+        f"theta must be one of {', '.join(_THETA_FUNCS)}, got {cfg.theta!r}",
         at["theta"],
     )
-    if cfg.potential_kind == "rational":
-        _check(cfg.dim == 1, "rational potential is 1D only", at["potential_kind"])
-    if cfg.potential_kind == "honeycomb":
-        _check(cfg.dim == 2, "honeycomb potential is 2D only", at["potential_kind"])
+    only_dim = _POTENTIALS[cfg.potential_kind][0]
+    _check(only_dim in (None, cfg.dim), f"{cfg.potential_kind} potential is {only_dim}D only",
+           at["potential_kind"])
     _check(
         cfg.initial_kind == "gaussian",
         f"initial kind must be 'gaussian', got {cfg.initial_kind!r}",
@@ -373,8 +368,8 @@ def _validate(cfg: RunConfig, at: dict[str, Optional[int]]) -> None:
             at["h_list"],
         )
     _check(
-        cfg.sweep_mode in _SWEEP_MODES,
-        f"sweep mode must be one of {', '.join(_SWEEP_MODES)}, got {cfg.sweep_mode!r}",
+        cfg.sweep_mode in SWEEP_MODES,
+        f"sweep mode must be one of {', '.join(SWEEP_MODES)}, got {cfg.sweep_mode!r}",
         at["sweep_mode"],
     )
     _check(cfg.sweep_factor >= 2, f"sweep factor must be >= 2, got {cfg.sweep_factor}", at["sweep_factor"])

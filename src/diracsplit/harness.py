@@ -611,6 +611,9 @@ def spatial_convergence(
 # super-resolution sweep
 
 
+SWEEP_MODES = ("resonant", "nonresonant")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """A (tau, epsilon) sweep in the nonrelativistic regime.
@@ -631,7 +634,7 @@ class SweepSpec:
     reference_scheme: str = "S6c"
 
     def __post_init__(self) -> None:
-        if self.mode not in ("resonant", "nonresonant"):
+        if self.mode not in SWEEP_MODES:
             raise ValueError(f"mode must be 'resonant' or 'nonresonant', got {self.mode!r}")
         if not isinstance(self.factor, int) or self.factor < 2:
             raise ValueError(f"refinement factor must be an integer >= 2, got {self.factor!r}")
@@ -662,16 +665,6 @@ class SweepSpec:
         if self.mode != "resonant":
             return True
         return (tau_frac / (epsilon * epsilon)).denominator == 1
-
-
-def check_resonant_step(epsilon: Fraction, tau_over_pi: Fraction) -> None:
-    """Reject a step that is not an integer multiple of epsilon^2 * pi."""
-    ratio = tau_over_pi / (epsilon * epsilon)
-    if ratio.denominator != 1:
-        raise ValueError(
-            f"tau = {tau_over_pi}*pi is not an integer multiple of epsilon^2*pi "
-            f"for epsilon = {epsilon} (ratio {ratio})"
-        )
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ from .conditions import (
     frozen_coefficient_strings,
     frozen_coefficients,
     derivation_report,
-    multi_start,
     newton_solve,
     order_conditions,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "expansion_stages",
     "frozen_coefficient_strings",
     "frozen_coefficients",
-    "multi_start",
     "newton_solve",
     "order_conditions",
     "bracket_collapse_identity",

@@ -3,7 +3,8 @@
 Elements are manipulated in "word space": a Lie element is stored as an
 exact-rational linear combination of associative words over the alphabet
 {T, W}, with the bracket [u, v] = uv - vu computed by concatenation.  The
-free-basis bookkeeping uses Lyndon words with standard bracketing.
+right-nested brackets of all words of one length span that grade of the
+free Lie algebra, so their rank is its dimension.
 
 The quotient divides by the Lie ideal generated by the relation
 r = [W,[T,W]] = 0 (a purely electric potential commutes with its own
@@ -23,9 +24,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from typing import Mapping, Optional, Sequence, Union
 
-from .poly import Poly
+from .poly import Poly, accumulate
 
 MAX_GRADE = 5
 
@@ -53,11 +55,7 @@ RELATION_TREE: Tree = ("W", ("T", "W"))
 def _wv_add(u: WordVec, v: WordVec, scale: Fraction = Fraction(1)) -> WordVec:
     out = dict(u)
     for w, q in v.items():
-        s = out.get(w, Fraction(0)) + scale * q
-        if s:
-            out[w] = s
-        else:
-            out.pop(w, None)
+        accumulate(out, w, scale * q)
     return out
 
 
@@ -65,12 +63,7 @@ def _wv_concat(u: WordVec, v: WordVec) -> WordVec:
     out: WordVec = {}
     for w1, q1 in u.items():
         for w2, q2 in v.items():
-            w = w1 + w2
-            s = out.get(w, Fraction(0)) + q1 * q2
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
+            accumulate(out, w1 + w2, q1 * q2)
     return out
 
 
@@ -100,102 +93,59 @@ def comma_tree(letters: Sequence[str]) -> Tree:
 # exact linear algebra over word space
 
 
-def _solve_columns(cols: Sequence[WordVec], rhs: WordVec) -> Optional[list[Fraction]]:
-    """Exact solve of sum_j x_j cols[j] = rhs; None if rhs is outside the span."""
-    words = sorted(set(rhs).union(*cols)) if cols else sorted(rhs)
+def _row_reduce(
+    cols: Sequence[WordVec], rhs: Optional[WordVec] = None
+) -> tuple[list[list[Fraction]], list[Fraction], list[tuple[int, int]]]:
+    """Gauss-Jordan elimination of the matrix with columns `cols` (rows are
+    words), applied alongside to `rhs`.  Returns the reduced rows, the
+    reduced right-hand side and the (row, column) pivots in column order."""
+    rhs = rhs or {}
+    words = sorted(set(rhs).union(*cols))
     matrix = [[col.get(w, Fraction(0)) for col in cols] for w in words]
     vec = [rhs.get(w, Fraction(0)) for w in words]
-    n_rows, n_cols = len(matrix), len(cols)
     pivots: list[tuple[int, int]] = []
     row = 0
-    for col in range(n_cols):
-        pivot_row = next((r for r in range(row, n_rows) if matrix[r][col]), None)
+    for col in range(len(cols)):
+        pivot_row = next((r for r in range(row, len(words)) if matrix[r][col]), None)
         if pivot_row is None:
             continue
         matrix[row], matrix[pivot_row] = matrix[pivot_row], matrix[row]
         vec[row], vec[pivot_row] = vec[pivot_row], vec[row]
         pa = matrix[row][col]
-        for r in range(n_rows):
+        for r in range(len(words)):
             if r != row and matrix[r][col]:
                 f = matrix[r][col] / pa
-                matrix[r] = [x - f * y for x, y in zip(matrix[r], matrix[row])]
+                matrix[r] = [x - f * y if y else x for x, y in zip(matrix[r], matrix[row])]
                 vec[r] = vec[r] - f * vec[row]
         pivots.append((row, col))
         row += 1
-    solution = [Fraction(0)] * n_cols
+    return matrix, vec, pivots
+
+
+def _solve_columns(cols: Sequence[WordVec], rhs: WordVec) -> Optional[list[Fraction]]:
+    """Exact solve of sum_j x_j cols[j] = rhs; None if rhs is outside the span."""
+    matrix, vec, pivots = _row_reduce(cols, rhs)
+    if any(vec[r] for r in range(len(pivots), len(vec))):
+        return None
+    solution = [Fraction(0)] * len(cols)
     for r, c in pivots:
         solution[c] = vec[r] / matrix[r][c]
-    pivot_rows = {r for r, _ in pivots}
-    for r in range(n_rows):
-        if r not in pivot_rows and vec[r]:
-            return None
     return solution
 
 
 def _rank(vectors: Sequence[WordVec]) -> int:
-    if not vectors:
-        return 0
-    words = sorted(set().union(*vectors))
-    rows = [[v.get(w, Fraction(0)) for w in words] for v in vectors]
-    rank = 0
-    for col in range(len(words)):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pa = rows[rank][col]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col] / pa
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+    return len(_row_reduce(vectors)[2])
 
 
 def _independent_subset(vectors: Sequence[WordVec]) -> list[WordVec]:
-    chosen: list[WordVec] = []
-    for v in vectors:
-        if v and _rank(chosen + [v]) > len(chosen):
-            chosen.append(v)
-    return chosen
+    """The first maximal independent subset, in order: the pivot columns."""
+    return [vectors[c] for _, c in _row_reduce(vectors)[2]]
 
 
-# ---------------------------------------------------------------------------
-# Lyndon-word free basis (used for dimension checks and the free-algebra view)
-
-
-def lyndon_words(max_len: int, alphabet: str = "TW") -> list[str]:
-    """All Lyndon words over `alphabet` of length 1..max_len (Duval's method)."""
-    k = len(alphabet)
-    out: list[str] = []
-    w = [0]
-    while w:
-        if len(w) <= max_len:
-            out.append("".join(alphabet[i] for i in w))
-        # extend periodically to max_len, then increment
-        w = w * (max_len // len(w)) + w[: max_len % len(w)]
-        while w and w[-1] == k - 1:
-            w.pop()
-        if w:
-            w[-1] += 1
-    return sorted(out, key=lambda s: (len(s), s))
-
-
-def standard_bracketing(word: str) -> Tree:
-    """Standard factorization bracket of a Lyndon word."""
-    if len(word) == 1:
-        return word
-    lyndon = set(lyndon_words(len(word)))
-    # longest proper Lyndon suffix gives the right factor
-    for i in range(1, len(word)):
-        if word[i:] in lyndon and word[:i] in lyndon and word[:i] < word[i:]:
-            return (standard_bracketing(word[:i]), standard_bracketing(word[i:]))
-    raise ValueError(f"{word!r} is not a Lyndon word")
-
-
-def free_basis(grade: int) -> list[tuple[str, Tree]]:
-    """Lyndon basis of the free Lie algebra component of the given grade."""
-    return [(w, standard_bracketing(w)) for w in lyndon_words(grade) if len(w) == grade]
+def free_dimension(grade: int) -> int:
+    """Dimension of the grade component of the free Lie algebra on {T, W}:
+    the right-nested brackets of all words of that length span it."""
+    return _rank([expand_tree(comma_tree(w)) for w in product("TW", repeat=grade)])
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +156,6 @@ class _Quotient:
     def __init__(self) -> None:
         self.names = tuple(name for name, _, _ in QUOTIENT_BASIS)
         self.grade = {name: g for name, g, _ in QUOTIENT_BASIS}
-        self.tree = {name: t for name, _, t in QUOTIENT_BASIS}
         self.wordvec = {name: expand_tree(t) for name, _, t in QUOTIENT_BASIS}
         self.reps_by_grade: dict[int, list[str]] = {}
         for name, g, _ in QUOTIENT_BASIS:
@@ -222,17 +171,14 @@ class _Quotient:
             ideal[g] = _independent_subset(candidates)
         self.ideal = ideal
 
-        # Sanity: free dims, ideal dims, and that representatives complement
-        # the ideal exactly.  These are construction-time proofs that the
-        # reduction below is a well-defined linear projection.
-        free_dims = {1: 2, 2: 1, 3: 2, 4: 3, 5: 6}
+        # Sanity: the representatives and the ideal span are independent and
+        # together exactly as many as the free dimension.  This is a
+        # construction-time proof that the reduction below is a well-defined
+        # linear projection.
         for g in range(1, MAX_GRADE + 1):
-            basis_vecs = [expand_tree(t) for _, t in free_basis(g)]
-            if _rank(basis_vecs) != free_dims[g]:
-                raise AssertionError(f"free Lie dimension mismatch at grade {g}")
             reps = [self.wordvec[n] for n in self.reps_by_grade.get(g, [])]
             combined = reps + ideal.get(g, [])
-            if _rank(combined) != len(combined) or len(combined) != free_dims[g]:
+            if _rank(combined) != len(combined) or len(combined) != free_dimension(g):
                 raise AssertionError(f"quotient split fails at grade {g}")
 
         # Structure constants of the quotient bracket.
@@ -327,11 +273,7 @@ class LieElement:
     def __add__(self, other: "LieElement") -> "LieElement":
         out = dict(self.coords)
         for name, p in other.coords.items():
-            s = out.get(name, Poly.zero()) + p
-            if s.is_zero():
-                out.pop(name, None)
-            else:
-                out[name] = s
+            accumulate(out, name, p)
         return LieElement(out, self.truncated or other.truncated)
 
     def __sub__(self, other: "LieElement") -> "LieElement":
@@ -382,11 +324,7 @@ def bracket(x: LieElement, y: LieElement) -> LieElement:
                 continue
             weight = p1 * p2
             for name, q in entry:
-                s = acc.get(name, Poly.zero()) + weight * q
-                if s.is_zero():
-                    acc.pop(name, None)
-                else:
-                    acc[name] = s
+                accumulate(acc, name, weight * q)
     return LieElement(acc, truncated)
 
 

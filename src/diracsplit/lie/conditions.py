@@ -22,7 +22,6 @@ polynomial instead of silently rewriting either side.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -47,7 +46,6 @@ __all__ = [
     "expansion_stages",
     "frozen_coefficient_strings",
     "frozen_coefficients",
-    "multi_start",
     "newton_solve",
     "order_conditions",
     "transcribed_cells",
@@ -212,8 +210,16 @@ def _residuals(polys: Sequence[Poly], x: Sequence[float]) -> list[float]:
 
 def _exact_residuals(polys: Sequence[Poly], x: Sequence[float]) -> tuple[float, ...]:
     # Fraction(float) is exact, so these residuals carry no evaluation error.
-    vals = [Fraction(v) for v in x]
-    return tuple(float(p.evaluate_exact(vals)) for p in polys)
+    return tuple(float(p.evaluate_exact(x)) for p in polys)
+
+
+def _newton_step(jac, x: Sequence[float], f: Sequence[float]) -> Optional[np.ndarray]:
+    """Solve J(x) dx = -f with the Jacobian evaluated in double; None if J is singular."""
+    J = np.array([[e.evaluate(x) for e in row] for row in jac])
+    try:
+        return np.linalg.solve(J, -np.asarray(f))
+    except np.linalg.LinAlgError:
+        return None
 
 
 def _polish(polys: Sequence[Poly], jac, x: list[float], max_rounds: int = 6) -> list[float]:
@@ -227,11 +233,8 @@ def _polish(polys: Sequence[Poly], jac, x: list[float], max_rounds: int = 6) -> 
     for _ in range(max_rounds):
         if best_norm == 0.0:
             break
-        f = _exact_residuals(polys, x)
-        J = np.array([[e.evaluate(x) for e in row] for row in jac])
-        try:
-            dx = np.linalg.solve(J, -np.asarray(f))
-        except np.linalg.LinAlgError:
+        dx = _newton_step(jac, x, _exact_residuals(polys, x))
+        if dx is None:
             break
         trial = [xi + di for xi, di in zip(x, dx)]
         trial_norm = max(abs(r) for r in _exact_residuals(polys, trial))
@@ -273,10 +276,8 @@ def newton_solve(
             break
         if iterations == max_iter:
             break
-        J = np.array([[e.evaluate(x) for e in row] for row in jac])
-        try:
-            dx = np.linalg.solve(J, -np.asarray(f))
-        except np.linalg.LinAlgError:
+        dx = _newton_step(jac, x, f)
+        if dx is None:
             message = f"singular Jacobian at iteration {iterations}"
             break
         if not np.all(np.isfinite(dx)):
@@ -302,21 +303,6 @@ def newton_solve(
         converged=converged,
         message=message,
     )
-
-
-def multi_start(
-    n_starts: int,
-    seed: int = 0,
-    tol: float = 1e-13,
-    bounds: tuple[float, float] = (-3.0, 3.0),
-) -> list[NewtonResult]:
-    """Newton from `n_starts` uniform random points in bounds^5."""
-    rng = random.Random(seed)
-    lo, hi = bounds
-    return [
-        newton_solve([rng.uniform(lo, hi) for _ in range(5)], tol=tol)
-        for _ in range(n_starts)
-    ]
 
 
 # ---------------------------------------------------------------------------

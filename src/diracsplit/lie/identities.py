@@ -16,6 +16,7 @@ from .algebra import (
     reduce_tree,
     _wv_add,
 )
+from .poly import accumulate
 
 __all__ = [
     "bracket_collapse_identity",
@@ -54,11 +55,7 @@ def bracket_collapse_identity(in_quotient: bool = True) -> bool:
         diff = {}
         for tree, sign in ((lhs, 1), (rhs, -1)):
             for name, q in reduce_tree(tree).items():
-                s = diff.get(name, 0) + sign * q
-                if s:
-                    diff[name] = s
-                else:
-                    diff.pop(name, None)
+                accumulate(diff, name, sign * q)
         return not diff
     free_diff = _wv_add(expand_tree(lhs), expand_tree(rhs), scale=-1)  # type: ignore[arg-type]
     return not free_diff

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 NVARS = 5
 VAR_NAMES = ("c0", "c1", "c2", "c3", "c4")
@@ -17,6 +17,15 @@ VAR_NAMES = ("c0", "c1", "c2", "c3", "c4")
 Monomial = tuple[int, int, int, int, int]
 Scalar = Union[int, Fraction]
 _ZERO_MONO: Monomial = (0, 0, 0, 0, 0)
+
+
+def accumulate(acc: dict, key, value) -> None:
+    """acc[key] += value, dropping the key when the sum is zero (a zero Poly is false)."""
+    total = acc[key] + value if key in acc else value
+    if total:
+        acc[key] = total
+    else:
+        acc.pop(key, None)
 
 
 class Poly:
@@ -69,11 +78,7 @@ class Poly:
             return NotImplemented
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
-            q = out.get(mono, Fraction(0)) + coeff
-            if q:
-                out[mono] = q
-            else:
-                out.pop(mono, None)
+            accumulate(out, mono, coeff)
         return Poly(out)
 
     __radd__ = __add__
@@ -101,12 +106,7 @@ class Poly:
         out: dict[Monomial, Fraction] = {}
         for m1, q1 in self.terms.items():
             for m2, q2 in other.terms.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                q = out.get(mono, Fraction(0)) + q1 * q2
-                if q:
-                    out[mono] = q  # type: ignore[index]
-                else:
-                    out.pop(mono, None)  # type: ignore[arg-type]
+                accumulate(out, tuple(a + b for a, b in zip(m1, m2)), q1 * q2)
         return Poly(out)
 
     __rmul__ = __mul__
@@ -139,6 +139,9 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         return max((sum(m) for m in self.terms), default=-1)
@@ -150,37 +153,31 @@ class Poly:
             e = mono[index]
             if e:
                 lowered = tuple(v - 1 if i == index else v for i, v in enumerate(mono))
-                out[lowered] = out.get(lowered, Fraction(0)) + coeff * e  # type: ignore[index]
+                accumulate(out, lowered, coeff * e)
         return Poly(out)
 
     # -- evaluation --------------------------------------------------------
 
-    def evaluate(self, values: Sequence[float]) -> float:
-        """Compensated float evaluation: each term in double, summed by fsum."""
+    def _terms_at(self, values: Sequence, number: Callable) -> list:
+        """Each term's value at `values`, its coefficient converted by `number`."""
         if len(values) != NVARS:
             raise ValueError(f"need {NVARS} values, got {len(values)}")
         parts = []
         for mono, coeff in self.terms.items():
-            term = float(coeff)
+            term = number(coeff)
             for v, e in zip(values, mono):
                 if e:
                     term *= v**e
             parts.append(term)
-        return math.fsum(parts)
+        return parts
+
+    def evaluate(self, values: Sequence[float]) -> float:
+        """Compensated float evaluation: each term in double, summed by fsum."""
+        return math.fsum(self._terms_at(values, float))
 
     def evaluate_exact(self, values: Iterable[Union[Fraction, int, str, float]]) -> Fraction:
         """Exact rational evaluation; accepts anything Fraction() accepts."""
-        vals = [Fraction(v) for v in values]
-        if len(vals) != NVARS:
-            raise ValueError(f"need {NVARS} values, got {len(vals)}")
-        total = Fraction(0)
-        for mono, coeff in self.terms.items():
-            term = coeff
-            for v, e in zip(vals, mono):
-                if e:
-                    term *= v**e
-            total += term
-        return total
+        return sum(self._terms_at([Fraction(v) for v in values], Fraction), Fraction(0))
 
     # -- formatting ------------------------------------------------------
 

@@ -154,8 +154,7 @@ class Potential:
     in reference-cache keys.
     """
 
-    __slots__ = ("kind", "theta_mode", "time_independent", "cache_token",
-                 "_point", "_on_grid")
+    __slots__ = ("kind", "time_independent", "cache_token", "_point", "_on_grid")
 
     def __init__(
         self,
@@ -165,10 +164,8 @@ class Potential:
         *,
         time_independent: bool,
         cache_token: str,
-        theta_mode: str | None = None,
     ):
         self.kind = kind
-        self.theta_mode = theta_mode
         self.time_independent = bool(time_independent)
         self.cache_token = cache_token
         self._point = point
@@ -191,7 +188,7 @@ class Potential:
         return out
 
 
-def zero_potential(dim: int = 1) -> Potential:
+def zero_potential() -> Potential:
     """V identically zero (free Dirac equation)."""
     return Potential(
         "zero",
@@ -202,7 +199,7 @@ def zero_potential(dim: int = 1) -> Potential:
     )
 
 
-def constant_potential(value: float, dim: int = 1) -> Potential:
+def constant_potential(value: float) -> Potential:
     """V identically equal to `value`; useful because it commutes with T."""
     v = float(value)
     return Potential(
@@ -285,7 +282,6 @@ def honeycomb_potential(theta_mode: str = "constant") -> Potential:
         on_grid,
         time_independent=(theta_mode == "constant"),
         cache_token=f"honeycomb-2d:{theta_mode}",
-        theta_mode=theta_mode,
     )
 
 

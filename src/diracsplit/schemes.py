@@ -37,7 +37,6 @@ __all__ = [
     "SchemeSpec",
     "CATALOG_NAMES",
     "catalog",
-    "catalog_names",
     "op_count",
     "step",
     "evolve",
@@ -239,10 +238,6 @@ CATALOG_NAMES = ("S1", "S2", "S4", "S4c", "S4RK", "S6-A", "S6-B", "S6-C", "S6sta
 
 # "S6" resolves to solution A, the default used by the benchmark harness.
 _ALIASES = {"S6": "S6-A"}
-
-
-def catalog_names() -> tuple[str, ...]:
-    return CATALOG_NAMES
 
 
 def catalog(name: str) -> SchemeSpec:

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from diracsplit.cli import CSV_COLUMNS, main
-from diracsplit.config import ConfigError, default_config, parse_config
+from diracsplit.config import ConfigError, RunConfig, default_config, parse_config
 from diracsplit.lie import frozen_coefficients
 from diracsplit.model import mass
 
@@ -158,6 +158,11 @@ class TestDerivedObjects:
         assert p.grid.dim == 2
         assert p.grid.shape == (16, 16)
         assert not p.potential.time_independent
+
+    def test_unknown_potential_kind_raises(self):
+        # A config built without validation must not fall through to another potential.
+        with pytest.raises(ConfigError, match="potential kind must be one of"):
+            RunConfig(potential_kind="bogus").potential()
 
     def test_reference_protocol_and_sweep_spec(self):
         cfg = parse_config("[study]\nreference_scheme = S4\nreference_tau = 0.0001\n")

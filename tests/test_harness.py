@@ -19,7 +19,6 @@ from diracsplit.harness import (
     SweepSpec,
     _reference_header,
     _write_reference,
-    check_resonant_step,
     error_metrics,
     fit_order,
     gaussian_problem_1d,
@@ -546,11 +545,6 @@ class TestSweepSpec:
     def test_unknown_reference_scheme(self):
         with pytest.raises(KeyError):
             tiny_sweep_spec(reference_scheme="S99")
-
-    def test_check_resonant_step(self):
-        check_resonant_step(Fraction(1, 2), Fraction(1, 2))  # ratio 2: fine
-        with pytest.raises(ValueError, match="integer multiple"):
-            check_resonant_step(Fraction(1, 3), Fraction(1, 2))
 
 
 class TestSuperresSweep:

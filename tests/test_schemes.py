@@ -20,7 +20,6 @@ from diracsplit.schemes import (
     Propagator,
     SchemeStep,
     catalog,
-    catalog_names,
     evolve,
     load_constants,
     op_count,
@@ -62,7 +61,6 @@ def exact_solution(problem_grid, params, potential, field, t):
 
 class TestCatalog:
     def test_names_frozen(self):
-        assert catalog_names() == CATALOG_NAMES
         assert set(EXPECTED_OP_COUNTS) == set(CATALOG_NAMES)
 
     @pytest.mark.parametrize("name", CATALOG_NAMES)
