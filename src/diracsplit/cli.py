@@ -11,8 +11,9 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import __version__
 from .config import ConfigError, RunConfig, parse_config
@@ -97,10 +98,11 @@ def _gnuplot_script(csv_path: str, xlabel: str, xcol: int,
                     anchor: tuple[float, float]) -> str:
     """Log-log plot of the three error columns with slope guides 2/4/6.
 
-    Guides are anchored to pass through the first data point (x0, e0).
+    Guides are anchored to pass through the first data point (x0, e0),
+    with e0 raised to 1e-300 so a zero error still gives a finite guide.
     Requires gnuplot >= 5 (datafile commentschars, csv separator).
     """
-    x0, e0 = anchor
+    x0, e0 = anchor[0], max(anchor[1], 1e-300)
     lines = [
         "# gnuplot >= 5",
         "set datafile separator ','",
@@ -134,16 +136,6 @@ def _gnuplot_target(args, cfg: RunConfig) -> Optional[tuple[str, str]]:
     return path, csv_path
 
 
-def _maybe_gnuplot(target: Optional[tuple[str, str]], xlabel: str, xcol: int,
-                   anchor: tuple[float, float]) -> None:
-    if target is None:
-        return
-    path, csv_path = target
-    Path(path).write_text(_gnuplot_script(csv_path, xlabel, xcol, anchor),
-                          encoding="utf-8")
-    _diag(f"wrote gnuplot script to {path}")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -175,12 +167,35 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _cmd_converge_time(args) -> int:
+# what a study command hands the driver: data lines, the gnuplot axis
+# (xlabel, CSV column, anchor point) and whether the study saturated
+_StudyOutput = tuple[list[str], tuple[str, int, tuple[float, float]], bool]
+
+
+def _run_study(command: str, study: Callable[[RunConfig], _StudyOutput], args) -> int:
+    """The one driver of the study commands.
+
+    The gnuplot target is validated before `study` runs, so a bad
+    combination fails before any computation; exit code 2 marks a
+    saturated study.
+    """
     cfg = _load_config(args)
     gnuplot = _gnuplot_target(args, cfg)
-    problem = cfg.problem()
+    lines, axis, saturated = study(cfg)
+    _write(args, cfg, command, lines)
+    if gnuplot is not None:
+        path, csv_path = gnuplot
+        Path(path).write_text(_gnuplot_script(csv_path, *axis), encoding="utf-8")
+        _diag(f"wrote gnuplot script to {path}")
+    if saturated:
+        _diag("saturated: every error is within the floor; no order can be claimed")
+        return 2
+    return 0
+
+
+def _converge_time(cfg: RunConfig) -> _StudyOutput:
     study: TemporalStudy = temporal_convergence(
-        cfg.scheme, cfg.taus, problem, cfg.t_final, cfg.reference_protocol(),
+        cfg.scheme, cfg.taus, cfg.problem(), cfg.t_final, cfg.reference_protocol(),
         floor_factor=cfg.floor_factor, cache_dir=cfg.resolved_cache_dir(),
         workers=cfg.workers,
     )
@@ -191,19 +206,11 @@ def _cmd_converge_time(args) -> int:
         order = "saturated" if fit.saturated else _fmt(fit.order)
         lines.append(f"# fitted-order {name}: {order} (floor {_fmt(fit.floor)}, "
                      f"points {list(fit.points_used)})")
-    _write(args, cfg, "converge-time", lines)
     first = study.records[0]
-    _maybe_gnuplot(gnuplot, "tau", 3, (first.tau, max(first.e_phi, 1e-300)))
-    if study.saturated:
-        _diag("saturated: every error is within the floor; no order can be claimed")
-        return 2
-    return 0
+    return lines, ("tau", 3, (first.tau, first.e_phi)), study.saturated
 
 
-def _cmd_converge_space(args) -> int:
-    cfg = _load_config(args)
-    gnuplot = _gnuplot_target(args, cfg)
-
+def _converge_space(cfg: RunConfig) -> _StudyOutput:
     def factory(h: float):
         return replace(cfg, M=round((cfg.b - cfg.a) / h)).problem()
 
@@ -213,23 +220,16 @@ def _cmd_converge_space(args) -> int:
     )
     # the rate column carries the successive error drop e_{k-1}/e_k:
     # spectral accuracy has no algebraic order to fit
-    _write(args, cfg, "converge-space", [",".join(CSV_COLUMNS)] + [
-        _record_row(r, ratio) for r, ratio in zip(study.records, study.ratios)
-    ])
+    lines = [",".join(CSV_COLUMNS)]
+    lines += [_record_row(r, ratio) for r, ratio in zip(study.records, study.ratios)]
     first = study.records[0]
-    _maybe_gnuplot(gnuplot, "h", 2, (first.h, max(first.e_phi, 1e-300)))
-    return 0
+    return lines, ("h", 2, (first.h, first.e_phi)), False
 
 
-def _cmd_superres(args) -> int:
-    cfg = _load_config(args)
-    gnuplot = _gnuplot_target(args, cfg)
-
-    def factory(eps):
-        return cfg.problem(epsilon=float(eps))
-
+def _superres(cfg: RunConfig) -> _StudyOutput:
     result: SuperresResult = superres_sweep(
-        cfg.sweep_spec(), cfg.sweep_t, scheme=cfg.scheme, problem_factory=factory,
+        cfg.sweep_spec(), cfg.sweep_t, scheme=cfg.scheme,
+        problem_factory=lambda eps: cfg.problem(epsilon=float(eps)),
         cache_dir=cfg.resolved_cache_dir(), workers=cfg.workers,
     )
     lines = [",".join(CSV_COLUMNS)] + [_record_row(r, None) for _, _, r in result.cells]
@@ -244,9 +244,7 @@ def _cmd_superres(args) -> int:
         lines.append(f"# eps={_fmt(eps)}: " + "  ".join(row))
     lines.append("# max-over-eps: " + "  ".join(_fmt(v) for v in result.column_max))
     lines.append("# rates: " + "  ".join("-" if r is None else _fmt(r) for r in result.rates))
-    _write(args, cfg, "superres", lines)
-    _maybe_gnuplot(gnuplot, "tau", 3, (result.taus[0], max(result.column_max[0], 1e-300)))
-    return 0
+    return lines, ("tau", 3, (result.taus[0], result.column_max[0])), False
 
 
 def _cmd_coeffs(args) -> int:
@@ -342,16 +340,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state-out", help="dump the final spinor field to this path")
     p.set_defaults(func=_cmd_solve)
 
-    for name, help_text, func in (
-        ("converge-time", "temporal convergence study (CSV)", _cmd_converge_time),
-        ("converge-space", "spatial convergence study (CSV)", _cmd_converge_space),
-        ("superres", "(epsilon, tau) error sweep (CSV + matrix)", _cmd_superres),
+    for name, help_text, study in (
+        ("converge-time", "temporal convergence study (CSV)", _converge_time),
+        ("converge-space", "spatial convergence study (CSV)", _converge_space),
+        ("superres", "(epsilon, tau) error sweep (CSV + matrix)", _superres),
     ):
         p = sub.add_parser(name, help=help_text)
         add_run_args(p)
         p.add_argument("--gnuplot", nargs="?", const="plot.gp",
                        help="also write a gnuplot (>= 5) script to this path")
-        p.set_defaults(func=func)
+        p.set_defaults(func=partial(_run_study, name, study))
 
     p = sub.add_parser("coeffs", help="derive or verify the compact sixth-order constants")
     group = p.add_mutually_exclusive_group(required=True)

@@ -246,10 +246,14 @@ def _reference_header(problem: Problem, t_final: float, protocol: ReferenceProto
     return lines
 
 
+def _header_key(header: list[tuple[str, str]]) -> str:
+    text = "\n".join(f"{k}: {v}" for k, v in header)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def reference_key(problem: Problem, t_final: float, protocol: ReferenceProtocol) -> str:
     """Content hash identifying one reference run."""
-    text = "\n".join(f"{k}: {v}" for k, v in _reference_header(problem, t_final, protocol))
-    return hashlib.sha256(text.encode()).hexdigest()
+    return _header_key(_reference_header(problem, t_final, protocol))
 
 
 def _write_reference(path: Path, header: list[tuple[str, str]], values: np.ndarray) -> None:
@@ -350,16 +354,15 @@ def reference_solution(
                 f"reference tau {protocol.tau!r} must be at least 8x smaller "
                 f"than the smallest study tau {tau_min!r}"
             )
-    shape = problem.initial.values.shape
-    header = _reference_header(problem, t_final, protocol)
-    key = reference_key(problem, t_final, protocol)
     if not use_cache:
         return _propagate(problem, t_final, protocol.scheme, protocol.tau)
+    header = _reference_header(problem, t_final, protocol)
+    key = _header_key(header)
     directory = resolve_cache_dir(cache_dir)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / f"{key[:32]}.ref"
     with _key_lock(key):
-        cached = _read_reference(path, header, shape)
+        cached = _read_reference(path, header, problem.initial.values.shape)
         if cached is not None:
             return SpinorField(problem.grid, cached)
         field = _propagate(problem, t_final, protocol.scheme, protocol.tau)
@@ -424,55 +427,64 @@ def fit_order(taus: Sequence[float], errors: Sequence[float], floor: float) -> O
     return OrderFit(order=slope, floor=floor, points_used=used, saturated=False)
 
 
+def _successive_ratios(
+    errors: Sequence[float], factor: Optional[Callable[[int], Optional[float]]] = None
+) -> tuple[Optional[float], ...]:
+    """Reading k compares errors k-1 and k; reading 0 is None.
+
+    Without `factor` it is the drop e_{k-1}/e_k, None where e_k is not
+    positive.  With it, the rate log(e_{k-1}/e_k) / log(factor(k)), None
+    unless both errors are positive and factor(k) is not None.
+    """
+    out: list[Optional[float]] = [None]
+    for k in range(1, len(errors)):
+        prev, cur = errors[k - 1], errors[k]
+        if factor is None:
+            out.append(prev / cur if cur > 0 else None)
+        elif prev > 0 and cur > 0 and (f := factor(k)) is not None:
+            out.append(math.log(prev / cur) / math.log(f))
+        else:
+            out.append(None)
+    return tuple(out)
+
+
 def successive_rates(
     taus: Sequence[float], errors: Sequence[float]
 ) -> tuple[Optional[float], ...]:
     """rate_k = log(e_{k-1}/e_k) / log(tau_{k-1}/tau_k); None where undefined."""
-    rates: list[Optional[float]] = [None]
-    for k in range(1, len(errors)):
-        if errors[k - 1] > 0 and errors[k] > 0 and taus[k - 1] != taus[k]:
-            rates.append(math.log(errors[k - 1] / errors[k]) / math.log(taus[k - 1] / taus[k]))
-        else:
-            rates.append(None)
-    return tuple(rates)
+    return _successive_ratios(
+        errors, lambda k: taus[k - 1] / taus[k] if taus[k - 1] != taus[k] else None
+    )
 
 
 # ---------------------------------------------------------------------------
 # study cells
 
 
-def _run_cell(
+def _run_cells(
     scheme_name: str,
-    problem: Problem,
-    tau: float,
-    n_steps: int,
     t_final: float,
-    reference: SpinorField,
-) -> ErrorRecord:
-    """Propagate one study configuration and measure errors and wall time."""
-    field, wall, drift = _solve(problem, scheme_name, tau, n_steps)
-    e_phi, e_rho, e_j = error_metrics(field, reference)
-    return ErrorRecord(
-        scheme=scheme_name,
-        h=problem.grid.h,
-        tau=tau,
-        epsilon=problem.params.epsilon,
-        t_final=t_final,
-        e_phi=e_phi,
-        e_rho=e_rho,
-        e_J=e_j,
-        mass_drift=drift,
-        wall_time=wall,
-    )
+    cells: Sequence[tuple[Problem, float, int, SpinorField]],
+    workers: int,
+) -> list[ErrorRecord]:
+    """Propagate each study cell (problem, tau, n_steps, reference) and
+    measure its errors and wall time.
 
+    Cells are independent; with workers > 1 they run in a thread pool.
+    The records keep the order of the cells.
+    """
 
-def _map_jobs(jobs: list[Callable[[], ErrorRecord]], workers: int) -> list[ErrorRecord]:
-    """Run independent cells, optionally in a pool; order is preserved."""
-    if workers <= 1 or len(jobs) <= 1:
-        return [job() for job in jobs]
+    def run(cell: tuple[Problem, float, int, SpinorField]) -> ErrorRecord:
+        problem, tau, n_steps, reference = cell
+        field, wall, drift = _solve(problem, scheme_name, tau, n_steps)
+        e_phi, e_rho, e_j = error_metrics(field, reference)
+        return ErrorRecord(scheme_name, problem.grid.h, tau, problem.params.epsilon, t_final,
+                           e_phi, e_rho, e_j, mass_drift=drift, wall_time=wall)
+
+    if workers <= 1 or len(cells) <= 1:
+        return [run(cell) for cell in cells]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(job) for job in jobs]
-        return [f.result() for f in futures]
+        return list(pool.map(run, cells))
 
 
 # ---------------------------------------------------------------------------
@@ -526,11 +538,8 @@ def temporal_convergence(
     self_distance = reference_self_distance(
         problem, t_final, protocol, cache_dir=cache_dir, use_cache=use_cache, fine=reference
     )
-    jobs = [
-        (lambda tau=tau, n=n: _run_cell(scheme_name, problem, tau, n, t_final, reference))
-        for tau, n in zip(taus, counts)
-    ]
-    records = tuple(_map_jobs(jobs, workers))
+    cells = [(problem, tau, n, reference) for tau, n in zip(taus, counts)]
+    records = tuple(_run_cells(scheme_name, t_final, cells, workers))
     floors = [max(floor_factor * d, FLOOR_MIN) for d in self_distance]
     e_phi = [r.e_phi for r in records]
     return TemporalStudy(
@@ -582,29 +591,25 @@ def spatial_convergence(
         raise ValueError("spatial convergence needs at least one mesh size")
     ref_problem = problem_factory(float(reference_h))
     protocol = ReferenceProtocol(scheme=scheme_name, tau=tau)
-    reference = reference_solution(
-        ref_problem, t_final, protocol, cache_dir=cache_dir, use_cache=use_cache
-    )
     m_ref = ref_problem.grid.M
-
-    def cell(h: float) -> ErrorRecord:
+    # every study mesh is checked before the reference is propagated
+    studied: list[tuple[Problem, int, tuple[slice, ...]]] = []
+    for h in h_list:
         problem = problem_factory(h)
         m = problem.grid.M
         if m_ref % m != 0:
             raise ValueError(f"study grid M={m} does not nest into reference M={m_ref}")
-        stride = m_ref // m
-        sl = (slice(None),) + (slice(None, None, stride),) * problem.grid.dim
-        restricted = SpinorField(problem.grid, reference.values[sl].copy())
-        n = _steps_for_span(t_final - problem.t_start, tau)
-        return _run_cell(scheme_name, problem, tau, n, t_final, restricted)
-
-    jobs = [(lambda h=h: cell(h)) for h in h_list]
-    records = tuple(_map_jobs(jobs, workers))
-    ratios: list[Optional[float]] = [None]
-    for k in range(1, len(records)):
-        prev, cur = records[k - 1].e_phi, records[k].e_phi
-        ratios.append(prev / cur if cur > 0 else None)
-    return SpatialStudy(records=records, ratios=tuple(ratios))
+        sl = (slice(None),) + (slice(None, None, m_ref // m),) * problem.grid.dim
+        studied.append((problem, _steps_for_span(t_final - problem.t_start, tau), sl))
+    reference = reference_solution(
+        ref_problem, t_final, protocol, cache_dir=cache_dir, use_cache=use_cache
+    )
+    cells = [
+        (problem, tau, n, SpinorField(problem.grid, reference.values[sl].copy()))
+        for problem, n, sl in studied
+    ]
+    records = tuple(_run_cells(scheme_name, t_final, cells, workers))
+    return SpatialStudy(records=records, ratios=_successive_ratios([r.e_phi for r in records]))
 
 
 # ---------------------------------------------------------------------------
@@ -721,38 +726,31 @@ def superres_sweep(
                 f"no epsilon in the sweep admits the resonant step tau0/{spec.factor}^{j}"
             )
 
-    problems = {i: problem_factory(eps) for i, eps in enumerate(spec.epsilons)}
-    references = {
-        i: reference_solution(
-            problems[i], t_final, protocol,
+    # Indexed like spec.epsilons.  The references run serially: in the
+    # thread pool, short 1D solves ran slower than one after another.
+    problems = [problem_factory(eps) for eps in spec.epsilons]
+    references = [
+        reference_solution(
+            problem, t_final, protocol,
             study_taus=taus, cache_dir=cache_dir, use_cache=use_cache,
         )
-        for i in sorted(problems)
-    }
-
-    def cell(i: int, j: int) -> ErrorRecord:
-        n = int(t_units / tau_fracs[j])
-        return _run_cell(scheme, problems[i], taus[j], n, t_final, references[i])
-
-    jobs = [(lambda i=i, j=j: cell(i, j)) for i, j in admissible]
-    records = _map_jobs(jobs, workers)
-    cells = tuple((i, j, r) for (i, j), r in zip(admissible, records))
+        for problem in problems
+    ]
+    cells = [
+        (problems[i], taus[j], int(t_units / tau_fracs[j]), references[i])
+        for i, j in admissible
+    ]
+    records = _run_cells(scheme, t_final, cells, workers)
+    matrix = tuple((i, j, r) for (i, j), r in zip(admissible, records))
     column_max = tuple(
-        max(r.e_phi for i, jj, r in cells if jj == j) for j in range(len(taus))
+        max(r.e_phi for i, jj, r in matrix if jj == j) for j in range(len(taus))
     )
-    rates: list[Optional[float]] = [None]
-    for j in range(1, len(column_max)):
-        prev, cur = column_max[j - 1], column_max[j]
-        if prev > 0 and cur > 0:
-            rates.append(math.log(prev / cur) / math.log(spec.factor))
-        else:
-            rates.append(None)
     return SuperresResult(
         taus=taus,
         epsilons=tuple(float(e) for e in spec.epsilons),
-        cells=cells,
+        cells=matrix,
         column_max=column_max,
-        rates=tuple(rates),
+        rates=_successive_ratios(column_max, lambda j: spec.factor),
     )
 
 

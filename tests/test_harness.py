@@ -18,6 +18,7 @@ from diracsplit.harness import (
     ReferenceProtocol,
     SweepSpec,
     _reference_header,
+    _successive_ratios,
     _write_reference,
     error_metrics,
     fit_order,
@@ -291,6 +292,30 @@ class TestReferenceCache:
         reference_solution(p, 0.2, proto, cache_dir=target, use_cache=False)
         assert not target.exists()
 
+    @pytest.mark.parametrize("use_cache, headers", [(False, 0), (True, 1)])
+    def test_header_is_built_once_and_only_for_the_cache(
+        self, use_cache, headers, tmp_path, monkeypatch
+    ):
+        # the header hashes the initial field, so it is built at most once
+        import diracsplit.harness as harness
+
+        built = []
+        original = harness._reference_header
+
+        def counting(*args):
+            built.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(harness, "_reference_header", counting)
+        p = small_problem(32)
+        proto = ReferenceProtocol(scheme="S2", tau=0.05)
+        reference_solution(p, 0.2, proto, cache_dir=tmp_path, use_cache=use_cache)
+        assert len(built) == headers
+        if use_cache:
+            monkeypatch.setattr(harness, "_reference_header", original)
+            key = reference_key(p, 0.2, proto)
+            assert [f.name for f in tmp_path.iterdir()] == [f"{key[:32]}.ref"]
+
     def test_reference_step_must_be_8x_finer_than_study(self, tmp_path):
         p = small_problem(32)
         proto = ReferenceProtocol(scheme="S6c", tau=0.01)
@@ -354,6 +379,18 @@ class TestOrderFitting:
     def test_successive_rates_skip_degenerate_pairs(self):
         rates = successive_rates([0.2, 0.1, 0.1], [1e-3, 0.0, 1e-5])
         assert rates == (None, None, None)
+
+    def test_successive_drops_keep_a_zero_coarse_error(self):
+        # the spatial drop e_{k-1}/e_k is 0.0 after an exact coarse cell and
+        # None only where the finer error is not positive
+        assert _successive_ratios([4.0, 2.0, 0.0, 1.0, 0.5]) == (None, 2.0, None, 0.0, 2.0)
+        assert _successive_ratios([]) == (None,)
+
+    def test_successive_rates_with_a_fixed_factor(self):
+        # the sweep's rate log(prev/cur)/log(factor), None unless both are positive
+        rates = _successive_ratios([16e-3, 1e-3, 0.0, 1e-4, 1e-4], lambda k: 2)
+        assert rates[:4] == (None, math.log(16e-3 / 1e-3) / math.log(2), None, None)
+        assert rates[4] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +513,25 @@ class TestSpatialConvergence:
             spatial_convergence(
                 "S2", (2.0 / 3.0,), spatial_factory, 0.05, 0.25, 0.25, cache_dir=tmp_path
             )
+
+    def test_meshes_are_checked_before_the_reference_is_propagated(
+        self, tmp_path, monkeypatch
+    ):
+        import diracsplit.harness as harness
+
+        propagated = []
+        original = harness._propagate
+
+        def counting(problem, t_final, scheme_name, tau):
+            propagated.append(tau)
+            return original(problem, t_final, scheme_name, tau)
+
+        monkeypatch.setattr(harness, "_propagate", counting)
+        with pytest.raises(ValueError, match="does not nest"):
+            spatial_convergence(
+                "S2", (1.0, 2.0 / 3.0), spatial_factory, 0.05, 0.25, 0.25, cache_dir=tmp_path
+            )
+        assert propagated == []
 
     def test_needs_at_least_one_mesh(self, tmp_path):
         with pytest.raises(ValueError, match="at least one mesh"):

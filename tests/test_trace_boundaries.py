@@ -6,8 +6,8 @@ attributes of diracsplit (`schemes.step`, `schemes.apply_T_flow`,
 `Potential.sample_grid`, `WFlowCache.phases`, `harness.reference_solution`,
 `harness.error_metrics`, `cli.parse_config`).  A propagation routed around
 those names would still run but read 0 in the benchmark; these counts for
-n S6c steps (4 T and 5 W flows each), and for the CLI commands the
-benchmark times, catch that.
+n S6c steps (4 T and 5 W flows each), and for the CLI commands (the
+benchmark times `converge-time` and `superres`), catch that.
 """
 
 import importlib.util
@@ -104,3 +104,59 @@ def test_cli_converge_time_runs_inside_the_traced_layers(tmp_path, capsys):
     assert (layers["harness.reference.hits"], layers["harness.reference.misses"]) == (2, 0)
     assert warm.calls["schemes.step"] == 35
     assert warm.calls["harness.error_metrics"] == cells + 1
+
+
+def test_cli_superres_runs_inside_the_traced_layers(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(
+        "[model]\nM = 32\n"
+        f"[run]\nscheme = S2\ncache_dir = {tmp_path / 'refs'}\n"
+        "[sweep]\nmode = nonresonant\ntau0 = 1/4\nfactor = 2\ncount = 3\n"
+        "epsilons = 1, 1/2\nreference_tau = 1/256\nt = 1/2\n"
+    )
+    cells = 2 * 4  # every (epsilon, tau) cell is admissible off resonance
+    code, cold = _traced_main(["superres", "-c", str(cfg)])
+    assert code == 0
+    assert cold.calls["config.parse"] == 1
+    # one metric per cell; a sweep measures no reference self-distance
+    assert cold.calls["harness.error_metrics"] == cells
+    layers = cold.snapshot()
+    assert (layers["harness.reference.hits"], layers["harness.reference.misses"]) == (0, 2)
+    # cells 2 + 4 + 8 + 16 steps per epsilon; one 128-step reference each
+    assert cold.calls["schemes.step"] == 2 * 30 + 2 * 128
+    assert cold.calls["spectral.build_cache"] == cells + 2
+
+    code, warm = _traced_main(["superres", "-c", str(cfg)])
+    assert code == 0
+    layers = warm.snapshot()
+    assert (layers["harness.reference.hits"], layers["harness.reference.misses"]) == (2, 0)
+    assert warm.calls["schemes.step"] == 2 * 30
+    assert warm.calls["harness.error_metrics"] == cells
+    assert warm.calls["spectral.build_cache"] == cells
+
+
+def test_cli_converge_space_runs_inside_the_traced_layers(tmp_path, capsys):
+    cfg = tmp_path / "space.cfg"
+    cfg.write_text(
+        "[model]\na = -8\nb = 8\nM = 16\n"
+        f"[run]\nscheme = S2\nt_final = 0.25\ncache_dir = {tmp_path / 'refs'}\n"
+        "[space]\nh_list = 1, 0.5\nreference_h = 0.25\ntau = 0.05\n"
+    )
+    cells = 2
+    code, cold = _traced_main(["converge-space", "-c", str(cfg)])
+    assert code == 0
+    assert cold.calls["config.parse"] == 1
+    assert cold.calls["harness.error_metrics"] == cells
+    layers = cold.snapshot()
+    assert (layers["harness.reference.hits"], layers["harness.reference.misses"]) == (0, 1)
+    # 5 steps per cell and 5 for the fine-grid reference
+    assert cold.calls["schemes.step"] == 10 + 5
+    assert cold.calls["spectral.build_cache"] == cells + 1
+
+    code, warm = _traced_main(["converge-space", "-c", str(cfg)])
+    assert code == 0
+    layers = warm.snapshot()
+    assert (layers["harness.reference.hits"], layers["harness.reference.misses"]) == (1, 0)
+    assert warm.calls["schemes.step"] == 10
+    assert warm.calls["harness.error_metrics"] == cells
+    assert warm.calls["spectral.build_cache"] == cells
