@@ -95,14 +95,25 @@ def _diag(message: str) -> None:
 
 
 def _gnuplot_script(csv_path: str, xlabel: str, xcol: int,
-                    anchor: tuple[float, float]) -> str:
-    """Log-log plot of the three error columns with slope guides 2/4/6.
+                    anchor: tuple[float, float], epsilons: Sequence[float] = ()) -> str:
+    """Log-log plot of the error columns with slope guides 2/4/6.
 
     Guides are anchored to pass through the first data point (x0, e0),
     with e0 raised to 1e-300 so a zero error still gives a finite guide.
-    Requires gnuplot >= 5 (datafile commentschars, csv separator).
+    Without `epsilons` the three error columns are plotted over all rows.
+    A superres CSV runs through the tau ladder once per epsilon, so there
+    e_phi is plotted as one series per value in `epsilons`, selected on
+    the epsilon column (4).  Requires gnuplot >= 5 (datafile
+    commentschars, csv separator).
     """
     x0, e0 = anchor[0], max(anchor[1], 1e-300)
+    if epsilons:
+        series = [f"'{csv_path}' using {xcol}:($4 == {_fmt(eps)} ? $6 : 1/0) "
+                  f"with linespoints title 'e_phi eps={_fmt(eps)}'" for eps in epsilons]
+    else:
+        series = [f"'{csv_path}' using {xcol}:{col} with linespoints title '{name}'"
+                  for col, name in ((6, "e_phi"), (7, "e_rho"), (8, "e_J"))]
+    series += [f"g{k}(x) with lines dashtype 2 title 'order {k}'" for k in (2, 4, 6)]
     lines = [
         "# gnuplot >= 5",
         "set datafile separator ','",
@@ -111,15 +122,8 @@ def _gnuplot_script(csv_path: str, xlabel: str, xcol: int,
         f"set xlabel '{xlabel}'",
         "set ylabel 'discrete l2 error'",
         "set key left top",
-        f"g2(x) = {_fmt(e0)} * (x/{_fmt(x0)})**2",
-        f"g4(x) = {_fmt(e0)} * (x/{_fmt(x0)})**4",
-        f"g6(x) = {_fmt(e0)} * (x/{_fmt(x0)})**6",
-        f"plot '{csv_path}' using {xcol}:6 with linespoints title 'e_phi', \\",
-        f"     '{csv_path}' using {xcol}:7 with linespoints title 'e_rho', \\",
-        f"     '{csv_path}' using {xcol}:8 with linespoints title 'e_J', \\",
-        "     g2(x) with lines dashtype 2 title 'order 2', \\",
-        "     g4(x) with lines dashtype 2 title 'order 4', \\",
-        "     g6(x) with lines dashtype 2 title 'order 6'",
+        *(f"g{k}(x) = {_fmt(e0)} * (x/{_fmt(x0)})**{k}" for k in (2, 4, 6)),
+        "plot " + ", \\\n     ".join(series),
     ]
     return "\n".join(lines) + "\n"
 
@@ -168,8 +172,9 @@ def _cmd_solve(args) -> int:
 
 
 # what a study command hands the driver: data lines, the gnuplot axis
-# (xlabel, CSV column, anchor point) and whether the study saturated
-_StudyOutput = tuple[list[str], tuple[str, int, tuple[float, float]], bool]
+# (xlabel, CSV column, anchor point, epsilons of the per-epsilon series) and
+# whether the study saturated
+_StudyOutput = tuple[list[str], tuple[str, int, tuple[float, float], tuple[float, ...]], bool]
 
 
 def _run_study(command: str, study: Callable[[RunConfig], _StudyOutput], args) -> int:
@@ -207,7 +212,7 @@ def _converge_time(cfg: RunConfig) -> _StudyOutput:
         lines.append(f"# fitted-order {name}: {order} (floor {_fmt(fit.floor)}, "
                      f"points {list(fit.points_used)})")
     first = study.records[0]
-    return lines, ("tau", 3, (first.tau, first.e_phi)), study.saturated
+    return lines, ("tau", 3, (first.tau, first.e_phi), ()), study.saturated
 
 
 def _converge_space(cfg: RunConfig) -> _StudyOutput:
@@ -223,7 +228,7 @@ def _converge_space(cfg: RunConfig) -> _StudyOutput:
     lines = [",".join(CSV_COLUMNS)]
     lines += [_record_row(r, ratio) for r, ratio in zip(study.records, study.ratios)]
     first = study.records[0]
-    return lines, ("h", 2, (first.h, first.e_phi)), False
+    return lines, ("h", 2, (first.h, first.e_phi), ()), False
 
 
 def _superres(cfg: RunConfig) -> _StudyOutput:
@@ -244,7 +249,8 @@ def _superres(cfg: RunConfig) -> _StudyOutput:
         lines.append(f"# eps={_fmt(eps)}: " + "  ".join(row))
     lines.append("# max-over-eps: " + "  ".join(_fmt(v) for v in result.column_max))
     lines.append("# rates: " + "  ".join("-" if r is None else _fmt(r) for r in result.rates))
-    return lines, ("tau", 3, (result.taus[0], result.column_max[0])), False
+    epsilons = tuple(dict.fromkeys(r.epsilon for _, _, r in result.cells))
+    return lines, ("tau", 3, (result.taus[0], result.column_max[0]), epsilons), False
 
 
 def _cmd_coeffs(args) -> int:

@@ -46,12 +46,14 @@ class SpectralCache:
     scheme steps at fixed tau hit.
     """
 
-    __slots__ = ("grid", "params", "phase_scale", "nx", "ny", "nz", "_axes", "_rotations")
+    __slots__ = ("grid", "params", "phase_scale", "nx", "ny", "nz", "_axes", "_shape",
+                 "_rotations")
 
     def __init__(self, params: PhysParams, grid: Grid):
         self.grid = grid
         self.params = params
         self._axes = tuple(range(1, 1 + grid.dim))
+        self._shape = grid.shape
         self._rotations: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
         # Fourier frequencies mu_l = 2 pi l / (b - a) in FFT layout.
@@ -137,7 +139,7 @@ def _unit_phase(arg: np.ndarray) -> np.ndarray:
 
 
 def _check_grids(field: SpinorField, grid: Grid) -> None:
-    if field.grid != grid:
+    if field.grid is not grid and field.grid != grid:
         raise ValueError(f"field grid ({field.grid}) does not match ({grid})")
 
 
@@ -153,8 +155,9 @@ def apply_T_flow(field: SpinorField, ctau: float, cache: SpectralCache) -> Spino
     _check_grids(field, cache.grid)
     a, b = cache.rotation(ctau)
     v = field.values
-    axes = cache._axes
-    np.fft.fftn(v, axes=axes, out=v)
+    axes, shape = cache._axes, cache._shape
+    # An explicit s= skips numpy's per-call shape inference; fftn/ifftn, not fft2/ifft2 (below).
+    np.fft.fftn(v, s=shape, axes=axes, out=v)
     u1, u2 = v[0], v[1]
     # new1 = A u1 + B u2 and new2 = conj(A u2* - B u1*), so conj(A) and
     # conj(B) are never formed.
@@ -167,7 +170,8 @@ def apply_T_flow(field: SpinorField, ctau: float, cache: SpectralCache) -> Spino
     u2 *= a
     u2 -= bu1c
     np.conjugate(u2, out=u2)
-    np.fft.ifftn(v, axes=axes, out=v)
+    # ifftn, not ifft2: numpy 2.4.6's ifft2 drops out=, so ifft2(v, out=v) leaves v untouched.
+    np.fft.ifftn(v, s=shape, axes=axes, out=v)
     return field
 
 

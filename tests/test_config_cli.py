@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from diracsplit.cli import CSV_COLUMNS, main
+from diracsplit.cli import CSV_COLUMNS, _gnuplot_script, main
 from diracsplit.config import ConfigError, RunConfig, default_config, parse_config
 from diracsplit.lie import frozen_coefficients
 from diracsplit.model import mass
@@ -425,6 +425,68 @@ class TestCliStudies:
         assert parts[0] == "-"
         assert len(parts) == 4
         assert all(math.isfinite(float(p)) for p in parts[1:])
+
+    def test_superres_gnuplot_plots_one_series_per_epsilon(self, capsys, tmp_path):
+        text = (
+            "[model]\nM = 32\n"
+            f"[run]\nscheme = S2\ncache_dir = {tmp_path / 'refs'}\n"
+            "[sweep]\nmode = nonresonant\ntau0 = 1/4\nfactor = 2\ncount = 3\n"
+            "epsilons = 1, 1/2\nreference_tau = 1/256\nt = 1\n"
+        )
+        cfg = write_config(tmp_path, text)
+        csv = tmp_path / "sweep.csv"
+        script = tmp_path / "sweep.gp"
+        assert main(["superres", "-c", str(cfg), "-o", str(csv), "--gnuplot", str(script)]) == 0
+        rows = [line.split(",") for line in csv.read_text().splitlines()
+                if line and not line.startswith("#") and not line.startswith("scheme")]
+        plot = script.read_text()
+        assert "e_rho" not in plot and "e_J" not in plot
+        series = [line for line in plot.splitlines() if "with linespoints" in line]
+        assert len(series) == 2
+        for line, eps in zip(series, ("1", "0.5")):
+            assert f"using 3:($4 == {eps} ? $6 : 1/0)" in line
+            assert f"title 'e_phi eps={eps}'" in line
+            # the rows a series selects walk the tau ladder once, in order
+            taus = [float(r[2]) for r in rows if float(r[3]) == float(eps)]
+            assert len(taus) == 4 and taus == sorted(taus, reverse=True)
+        assert "g6(x) with lines dashtype 2 title 'order 6'" in plot
+
+    def test_study_gnuplot_scripts_are_unchanged(self):
+        guides = (
+            "     g2(x) with lines dashtype 2 title 'order 2', \\\n"
+            "     g4(x) with lines dashtype 2 title 'order 4', \\\n"
+            "     g6(x) with lines dashtype 2 title 'order 6'\n"
+        )
+        header = (
+            "# gnuplot >= 5\n"
+            "set datafile separator ','\n"
+            "set datafile commentschars '#'\n"
+            "set logscale xy\n"
+        )
+        converge_time = header + (
+            "set xlabel 'tau'\n"
+            "set ylabel 'discrete l2 error'\n"
+            "set key left top\n"
+            "g2(x) = 0.0025000000000000001 * (x/0.10000000000000001)**2\n"
+            "g4(x) = 0.0025000000000000001 * (x/0.10000000000000001)**4\n"
+            "g6(x) = 0.0025000000000000001 * (x/0.10000000000000001)**6\n"
+            "plot 't.csv' using 3:6 with linespoints title 'e_phi', \\\n"
+            "     't.csv' using 3:7 with linespoints title 'e_rho', \\\n"
+            "     't.csv' using 3:8 with linespoints title 'e_J', \\\n"
+        ) + guides
+        converge_space = header + (
+            "set xlabel 'h'\n"
+            "set ylabel 'discrete l2 error'\n"
+            "set key left top\n"
+            "g2(x) = 1e-300 * (x/1)**2\n"
+            "g4(x) = 1e-300 * (x/1)**4\n"
+            "g6(x) = 1e-300 * (x/1)**6\n"
+            "plot 's.csv' using 2:6 with linespoints title 'e_phi', \\\n"
+            "     's.csv' using 2:7 with linespoints title 'e_rho', \\\n"
+            "     's.csv' using 2:8 with linespoints title 'e_J', \\\n"
+        ) + guides
+        assert _gnuplot_script("t.csv", "tau", 3, (0.1, 0.0025)) == converge_time
+        assert _gnuplot_script("s.csv", "h", 2, (1.0, 0.0)) == converge_space
 
     def test_workers_override_is_deterministic(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SMALL_STUDY.format(cache=tmp_path / "refs"))

@@ -2,6 +2,8 @@
 
 import sys
 import threading
+import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from diracsplit.model import (
     mass,
     rational_potential_1d,
 )
+from diracsplit import spectral
 from diracsplit.spectral import (
     WFlowCache,
     _unit_phase,
@@ -304,6 +307,88 @@ class TestTFlowFastPath:
         for got, want in zip(results, serial):
             assert got is not None
             np.testing.assert_array_equal(got.values, want.values)
+
+
+def shapeless_T_flow(field, ctau, cache):
+    """The in-place flow with the transform shape left to numpy to infer.
+
+    A copy of the call form before the cache carried its shape: the same
+    tables and mixing, `fftn`/`ifftn` without `s=`.  Passing the shape must
+    not change a single bit.
+    """
+    a, b = cache.rotation(ctau)
+    v = field.values
+    axes = tuple(range(1, 1 + field.grid.dim))
+    np.fft.fftn(v, axes=axes, out=v)
+    u1, u2 = v[0], v[1]
+    bu2 = b * u2
+    bu1c = np.conjugate(u1)
+    bu1c *= b
+    u1 *= a
+    u1 += bu2
+    np.conjugate(u2, out=u2)
+    u2 *= a
+    u2 -= bu1c
+    np.conjugate(u2, out=u2)
+    np.fft.ifftn(v, axes=axes, out=v)
+    return field
+
+
+class TestTFlowCallForm:
+    """The transforms get the grid's shape and axes, and the result is unchanged."""
+
+    @pytest.mark.parametrize("dim,M", [(1, 512), (1, 1024), (2, 256)])
+    @pytest.mark.parametrize("ctau", [0.0, -0.37, 250.0, 1.0 / 64.0])
+    def test_bitwise_equal_to_shapeless_flow(self, dim, M, ctau, rng):
+        grid = make_grid(dim, -8.0, 8.0, M)
+        cache = build_cache(PhysParams(delta=0.7, nu=0.9, epsilon=0.6), grid)
+        f = random_field(grid, rng)
+        expected = shapeless_T_flow(f.copy(), ctau, cache)
+        got = apply_T_flow(f.copy(), ctau, cache)
+        np.testing.assert_array_equal(got.values, expected.values)
+
+    @pytest.mark.parametrize("dim,M", [(1, 64), (2, 16)])
+    def test_every_transform_is_given_shape_and_axes(self, dim, M, rng, monkeypatch):
+        grid = make_grid(dim, -8.0, 8.0, M)
+        cache = build_cache(PhysParams(), grid)
+        f = random_field(grid, rng)
+        calls = []
+
+        def recorded(name):
+            fn = getattr(np.fft, name)
+
+            def call(a, *args, **kwargs):
+                calls.append((name, kwargs.get("s"), kwargs.get("axes")))
+                return fn(a, *args, **kwargs)
+
+            return call
+
+        fft = types.SimpleNamespace(fftn=recorded("fftn"), ifftn=recorded("ifftn"))
+        proxy = types.ModuleType("numpy")
+        proxy.__dict__.update(np.__dict__)
+        proxy.fft = fft
+        monkeypatch.setattr(spectral, "np", proxy)
+        for ctau in (0.2, -0.1, 0.2):
+            apply_T_flow(f, ctau, cache)
+        axes = tuple(range(1, 1 + dim))
+        assert [name for name, _, _ in calls] == ["fftn", "ifftn"] * 3
+        for _, s, ax in calls:
+            assert s is not None and tuple(s) == grid.shape
+            assert tuple(ax) == axes
+
+    def test_equal_grid_object_is_accepted(self, grid1d, params, rng):
+        twin = replace(grid1d)
+        assert twin is not grid1d and twin == grid1d
+        cache = build_cache(params, twin)
+        f = random_field(grid1d, rng)
+        expected = apply_T_flow(f.copy(), 0.3, build_cache(params, grid1d))
+        got = apply_T_flow(f.copy(), 0.3, cache)
+        np.testing.assert_array_equal(got.values, expected.values)
+
+    def test_grid_differing_in_one_field_raises(self, grid1d, params, rng):
+        shifted = replace(grid1d, a=grid1d.a - 1.0)
+        with pytest.raises(ValueError, match="does not match"):
+            apply_T_flow(random_field(grid1d, rng), 0.3, build_cache(params, shifted))
 
 
 class TestWFlow:
