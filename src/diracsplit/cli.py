@@ -158,7 +158,7 @@ def _cmd_solve(args) -> int:
                           "converge-space and superres read [output] gnuplot")
     problem = cfg.problem()
     n = _steps_for_span(cfg.t_final, cfg.tau)
-    field, wall, drift = _solve(problem, cfg.scheme, cfg.tau, n)
+    [(field, wall, drift)] = _solve([problem], cfg.scheme, cfg.tau, n)
     if args.state_out:
         header = _reference_header(problem, cfg.t_final,
                                    ReferenceProtocol(scheme=cfg.scheme, tau=cfg.tau))

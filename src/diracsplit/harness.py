@@ -26,6 +26,7 @@ from .model import (
     Grid,
     PhysParams,
     Potential,
+    SpinorBatch,
     SpinorField,
     current,
     density,
@@ -35,7 +36,7 @@ from .model import (
     mass,
     rational_potential_1d,
 )
-from .schemes import Propagator, catalog
+from .schemes import Propagator, catalog, check_n_steps
 from .spectral import build_cache
 
 CACHE_ENV_VAR = "DIRACSPLIT_CACHE"
@@ -90,8 +91,26 @@ class Problem:
 
     def propagator(self, scheme_name: str, tau: float) -> Propagator:
         """The flow tables for running `scheme_name` at step tau on this problem."""
-        spec = catalog(scheme_name)
-        return Propagator(spec, tau, self.potential, build_cache(self.params, self.grid))
+        return _batch_propagator((self,), scheme_name, tau)
+
+
+def _batch_key(problem: Problem) -> tuple:
+    """What the problems of one batch share: all that the W flow and the clock read."""
+    return (problem.grid, problem.t_start, problem.potential.cache_token, problem.params.delta)
+
+
+def _batch_propagator(problems: Sequence[Problem], scheme_name: str, tau: float) -> Propagator:
+    """The flow tables for running `scheme_name` at step tau on `problems` as
+    one `SpinorBatch`; they may differ only in epsilon, nu and initial data."""
+    first = problems[0]
+    for problem in problems[1:]:
+        if _batch_key(problem) != _batch_key(first):
+            raise ValueError(
+                "a batch needs one grid, t_start, potential and delta, got "
+                f"{_batch_key(problem)!r} and {_batch_key(first)!r}"
+            )
+    return Propagator(catalog(scheme_name), tau, first.potential,
+                      build_cache(tuple(p.params for p in problems), first.grid))
 
 
 @dataclass(frozen=True)
@@ -304,30 +323,35 @@ def _steps_for_span(span: float, tau: float) -> int:
 
 
 def _solve(
-    problem: Problem, scheme_name: str, tau: float, n_steps: int
-) -> tuple[SpinorField, float, float]:
-    """n_steps of the scheme from the initial data: (field, loop wall time, mass drift).
+    problems: Sequence[Problem], scheme_name: str, tau: float, n_steps: int
+) -> list[tuple[SpinorField, float, float]]:
+    """n_steps of the scheme from each problem's initial data, propagated as
+    one batch: per problem, in order, (field, wall time, mass drift).
 
     The timer covers the propagation loop only; building the spectral plan
-    and the potential phase table is setup, not stepping cost.
+    and the potential phase table is setup, not stepping cost.  Each of the
+    k problems is charged an equal share, 1/k, of the loop time.
     """
-    # Copy before building the tables and take both masses after the loop:
+    # Copy before building the tables and take the masses after the loop:
     # the benchmark's figures were taken with this allocation order, and
     # another one moved its normalised timings by 17-35% (CHANGES.md).
-    field = problem.initial.copy()
-    propagator = problem.propagator(scheme_name, tau)
+    batch = SpinorBatch([problem.initial for problem in problems])
+    propagator = _batch_propagator(problems, scheme_name, tau)
     start = time.perf_counter()
-    propagator.run(field, problem.t_start, n_steps)
-    wall = time.perf_counter() - start
-    field.check_finite()
-    return field, wall, relative_mass_drift(field, mass(problem.initial))
+    propagator.run(batch, problems[0].t_start, n_steps)
+    wall = (time.perf_counter() - start) / len(problems)
+    out = []
+    for problem, field in zip(problems, batch.members()):
+        field.check_finite()
+        out.append((field, wall, relative_mass_drift(field, mass(problem.initial))))
+    return out
 
 
 def _propagate(problem: Problem, t_final: float, scheme_name: str, tau: float) -> SpinorField:
     span = t_final - problem.t_start
     if span == 0.0:
         return problem.initial.copy()
-    return _solve(problem, scheme_name, tau, _steps_for_span(span, tau))[0]
+    return _solve([problem], scheme_name, tau, _steps_for_span(span, tau))[0][0]
 
 
 def reference_solution(
@@ -467,24 +491,39 @@ def _run_cells(
     cells: Sequence[tuple[Problem, float, int, SpinorField]],
     workers: int,
 ) -> list[ErrorRecord]:
-    """Propagate each study cell (problem, tau, n_steps, reference) and
-    measure its errors and wall time.
+    """Propagate the study cells (problem, tau, n_steps, reference) and
+    measure their errors and wall times.
 
-    Cells are independent; with workers > 1 they run in a thread pool.
-    The records keep the order of the cells.
+    Cells with equal grid, tau, n_steps, t_start, potential and delta (in
+    a sweep, one tau column of one mode) form a group, which `_solve`
+    propagates as one batch; each member's wall_time is an equal share of
+    the group's loop time.  With workers > 1 the groups run in a thread
+    pool.  The records keep the order of the cells.
     """
+    groups: dict[tuple, list[int]] = {}
+    for index, (problem, tau, n_steps, _) in enumerate(cells):
+        groups.setdefault((_batch_key(problem), tau, n_steps), []).append(index)
 
-    def run(cell: tuple[Problem, float, int, SpinorField]) -> ErrorRecord:
-        problem, tau, n_steps, reference = cell
-        field, wall, drift = _solve(problem, scheme_name, tau, n_steps)
-        e_phi, e_rho, e_j = error_metrics(field, reference)
-        return ErrorRecord(scheme_name, problem.grid.h, tau, problem.params.epsilon, t_final,
-                           e_phi, e_rho, e_j, mass_drift=drift, wall_time=wall)
+    def run(indices: list[int]) -> list[ErrorRecord]:
+        _, tau, n_steps, _ = cells[indices[0]]
+        solved = _solve([cells[i][0] for i in indices], scheme_name, tau, n_steps)
+        records = []
+        for i, (field, wall, drift) in zip(indices, solved):
+            problem, _, _, reference = cells[i]
+            e_phi, e_rho, e_j = error_metrics(field, reference)
+            records.append(ErrorRecord(scheme_name, problem.grid.h, tau, problem.params.epsilon,
+                                       t_final, e_phi, e_rho, e_j,
+                                       mass_drift=drift, wall_time=wall))
+        return records
 
-    if workers <= 1 or len(cells) <= 1:
-        return [run(cell) for cell in cells]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, cells))
+    jobs = list(groups.values())
+    if workers <= 1 or len(jobs) <= 1:
+        results = [run(job) for job in jobs]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(run, jobs))
+    by_cell = {i: record for job, records in zip(jobs, results) for i, record in zip(job, records)}
+    return [by_cell[i] for i in range(len(cells))]
 
 
 # ---------------------------------------------------------------------------
@@ -701,7 +740,10 @@ def superres_sweep(
     t_units is the final time in the sweep's tau units (multiples of pi in
     resonant mode), so step counts are exact integers by construction.
     Every epsilon gets its own fine reference under the sweep's reference
-    protocol; cells are independent jobs merged in deterministic order.
+    protocol, computed one after another.  The cells of one tau column
+    share grid, tau and W phases, since epsilon enters only T, so each
+    column is propagated as one batch (`_run_cells`); with workers > 1 the
+    columns run in a thread pool.
     """
     if problem_factory is None:
         problem_factory = lambda eps: superres_problem(eps, mode=spec.mode)
@@ -765,8 +807,7 @@ def mass_series(
     tau: float,
 ) -> np.ndarray:
     """Relative mass deviation |m_n - m_0| / m_0 after each of n_steps steps."""
-    if not isinstance(n_steps, int) or n_steps < 0:
-        raise ValueError(f"n_steps must be a nonnegative integer, got {n_steps!r}")
+    n_steps = check_n_steps(n_steps)
     field = problem.initial.copy()
     m0 = mass(field)
     if m0 == 0.0:

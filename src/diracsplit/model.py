@@ -24,6 +24,7 @@ __all__ = [
     "Grid",
     "make_grid",
     "SpinorField",
+    "SpinorBatch",
     "Potential",
     "zero_potential",
     "constant_potential",
@@ -143,6 +144,37 @@ class SpinorField:
     @classmethod
     def zeros(cls, grid: Grid) -> "SpinorField":
         return cls(grid, np.zeros((2, *grid.shape), dtype=np.complex128))
+
+
+class SpinorBatch:
+    """Copies of k spinor fields on one grid, propagated as one.
+
+    values has shape (2, k, *grid.shape): values[0] and values[1] are still
+    the two components, now of every member, so the T and W flows apply to
+    a batch exactly as to one field.  A batch of one drops the batch axis
+    and is laid out like a plain field.
+    """
+
+    __slots__ = ("grid", "values")
+
+    def __init__(self, fields: Sequence[SpinorField]):
+        if not fields:
+            raise ValueError("a batch needs at least one field")
+        grid = fields[0].grid
+        for f in fields[1:]:
+            if f.grid != grid:
+                raise ValueError(f"batch member on grid {f.grid} does not match {grid}")
+        self.grid = grid
+        if len(fields) == 1:
+            self.values = fields[0].values.copy()
+        else:
+            self.values = np.stack([f.values for f in fields], axis=1)
+
+    def members(self) -> list[SpinorField]:
+        """The k fields, in the order they were given."""
+        if self.values.ndim == 1 + self.grid.dim:
+            return [SpinorField(self.grid, self.values)]
+        return [SpinorField(self.grid, self.values[:, i]) for i in range(self.values.shape[1])]
 
 
 class Potential:

@@ -24,13 +24,14 @@ All coefficient sets are frozen in data/scheme_constants.txt.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from typing import Optional
 
 from .model import Potential, SpinorField
-from .spectral import SpectralCache, WFlowCache, apply_T_flow, apply_W_flow
+from .spectral import Field, SpectralCache, WFlowCache, apply_T_flow, apply_W_flow
 
 __all__ = [
     "SchemeStep",
@@ -41,6 +42,7 @@ __all__ = [
     "step",
     "evolve",
     "Propagator",
+    "check_n_steps",
     "load_constants",
     "load_constant_strings",
 ]
@@ -258,16 +260,23 @@ def op_count(spec: SchemeSpec) -> tuple[int, int]:
     return n_t, n_w
 
 
+def check_n_steps(n_steps: int) -> int:
+    """A step count as a plain int: any integer >= 0, numpy's included, but not a bool."""
+    if isinstance(n_steps, bool) or not isinstance(n_steps, numbers.Integral) or n_steps < 0:
+        raise ValueError(f"n_steps must be a nonnegative integer, got {n_steps!r}")
+    return int(n_steps)
+
+
 def step(
-    field: SpinorField,
+    field: Field,
     tau: float,
     t_n: float,
     spec: SchemeSpec,
     potential: Potential,
     cache: SpectralCache,
     wcache: Optional[WFlowCache] = None,
-) -> SpinorField:
-    """Advance the field by one step of `spec` from time t_n, in place.
+) -> Field:
+    """Advance the field (or batch) by one step of `spec` from time t_n, in place.
 
     tau may be negative (the scheme runs backward, which inverts symmetric
     schemes exactly); only tau == 0 or non-finite tau is rejected.
@@ -289,7 +298,9 @@ class Propagator:
 
     The spectral cache carries the T rotations for its (params, grid); a
     time-independent potential adds a W phase table built here from the
-    same grid and params, so the two tables always belong together.
+    same grid and params, so the two tables always belong together.  A
+    cache built for a batch makes this the solve of a `SpinorBatch`, with
+    one W table for all its members.
     """
 
     __slots__ = ("spec", "tau", "potential", "cache", "wcache")
@@ -306,11 +317,9 @@ class Propagator:
             else None
         )
 
-    def run(self, field: SpinorField, t0: float, n_steps: int) -> SpinorField:
+    def run(self, field: Field, t0: float, n_steps: int) -> Field:
         """Apply `n_steps` scheme steps in place, step n starting at t0 + n*tau."""
-        if not isinstance(n_steps, int) or n_steps < 0:
-            raise ValueError(f"n_steps must be a nonnegative integer, got {n_steps!r}")
-        for n in range(n_steps):
+        for n in range(check_n_steps(n_steps)):
             step(field, self.tau, t0 + n * self.tau, self.spec, self.potential,
                  self.cache, self.wcache)
         return field

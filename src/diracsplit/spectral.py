@@ -9,17 +9,20 @@ Both flows are applied exactly: e^{c tau T} acts mode by mode in Fourier
 space through the closed-form exponential of a 2x2 Hermitian generator, and
 e^{c tau W} is a pointwise scalar phase.  Either flow is unitary for any
 real coefficient, which is what makes arbitrary splitting programs mass
-conserving.
+conserving.  Both flows also act on a `SpinorBatch`, k fields that share
+the grid, potential and delta and differ only in T.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .model import Grid, PhysParams, Potential, SpinorField
+from .model import Grid, PhysParams, Potential, SpinorBatch, SpinorField
+
+Field = SpinorField | SpinorBatch
 
 __all__ = [
     "SpectralCache",
@@ -44,16 +47,32 @@ class SpectralCache:
     phi = c tau eta/(delta eps^2).  `rotation` memoizes the two SU(2)
     factors of that exponential per distinct c*tau, which is what repeated
     scheme steps at fixed tau hit.
+
+    Built for a sequence of k > 1 `PhysParams`, the cache serves a
+    `SpinorBatch`: its tables are (k, *grid.shape), one row per member, and
+    the transforms run over the trailing grid axes.  The members must share
+    delta, because one W phase acts on all of them; `params` is the first
+    member's, which is all the W flow reads.  One `PhysParams`, or a
+    sequence of one, gives tables of grid shape.
     """
 
     __slots__ = ("grid", "params", "phase_scale", "nx", "ny", "nz", "_axes", "_shape",
-                 "_rotations")
+                 "_values_shape", "_rotations")
 
-    def __init__(self, params: PhysParams, grid: Grid):
+    def __init__(self, params: PhysParams | Sequence[PhysParams], grid: Grid):
+        members = (params,) if isinstance(params, PhysParams) else tuple(params)
+        if not members:
+            raise ValueError("a spectral cache needs at least one PhysParams")
+        if any(p.delta != members[0].delta for p in members):
+            raise ValueError(
+                f"batch members must share delta, got {[p.delta for p in members]!r}"
+            )
+        batch = (len(members),) if len(members) > 1 else ()
         self.grid = grid
-        self.params = params
-        self._axes = tuple(range(1, 1 + grid.dim))
+        self.params = members[0]
+        self._axes = tuple(range(1 + len(batch), 1 + len(batch) + grid.dim))
         self._shape = grid.shape
+        self._values_shape = (2, *batch, *grid.shape)
         self._rotations: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
         # Fourier frequencies mu_l = 2 pi l / (b - a) in FFT layout.
@@ -65,13 +84,22 @@ class SpectralCache:
         else:
             mux, muy = np.broadcast_arrays(mu_axis[:, None], mu_axis[None, :])
 
-        de = params.delta * params.epsilon
-        de2 = params.delta * params.epsilon**2
-        eta = np.sqrt(params.nu**2 + de**2 * (mux**2 + muy**2))
+        # Each member's scalars, squares included, are formed in Python as
+        # for a lone field and broadcast over the modes, so every row equals
+        # that member's own table bitwise.
+        def per_member(f: Callable[[PhysParams], float]) -> np.ndarray:
+            return np.array([f(p) for p in members]).reshape(batch + (1,) * grid.dim)
+
+        de = per_member(lambda p: p.delta * p.epsilon)
+        de_sq = per_member(lambda p: (p.delta * p.epsilon) ** 2)
+        de2 = per_member(lambda p: p.delta * p.epsilon**2)
+        nu = per_member(lambda p: p.nu)
+        nu_sq = per_member(lambda p: p.nu**2)
+        eta = np.sqrt(nu_sq + de_sq * (mux**2 + muy**2))
         self.phase_scale = eta / de2
         self.nx = de * mux / eta
         self.ny = de * muy / eta
-        self.nz = params.nu / eta
+        self.nz = nu / eta
 
     def rotation(self, ctau: float) -> tuple[np.ndarray, np.ndarray]:
         """Per-mode factors (A, B) of e^{c tau Gamma} = [[A, B], [-conj B, conj A]].
@@ -94,8 +122,8 @@ class SpectralCache:
         return out
 
 
-def build_cache(params: PhysParams, grid: Grid) -> SpectralCache:
-    """Precompute the per-mode data of T for `grid` under `params`."""
+def build_cache(params: PhysParams | Sequence[PhysParams], grid: Grid) -> SpectralCache:
+    """Precompute the per-mode data of T for `grid` under `params` (one or a batch)."""
     return SpectralCache(params, grid)
 
 
@@ -138,23 +166,26 @@ def _unit_phase(arg: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_grids(field: SpinorField, grid: Grid) -> None:
+def _check_grids(field: Field, grid: Grid) -> None:
     if field.grid is not grid and field.grid != grid:
         raise ValueError(f"field grid ({field.grid}) does not match ({grid})")
 
 
-def apply_T_flow(field: SpinorField, ctau: float, cache: SpectralCache) -> SpinorField:
+def apply_T_flow(field: Field, ctau: float, cache: SpectralCache) -> Field:
     """Apply e^{c tau T} in place: per-mode rotation e^{-i phi n.sigma}.
 
     phi = c*tau*eta/(delta eps^2).  Exact for any real c*tau and unitary,
     hence mass preserving.  The FFTs write into field.values and the 2x2
     mixing [[A, B], [-conj B, conj A]] uses the cached tables of `cache`.
-    Its two temporaries (one component each) belong to the call, never to
-    the cache, so one cache can serve several threads.
+    `field` may be a `SpinorBatch` whose members match the cache's.  The
+    two temporaries (one component each) belong to the call, never to the
+    cache, so one cache can serve several threads.
     """
     _check_grids(field, cache.grid)
-    a, b = cache.rotation(ctau)
     v = field.values
+    if v.shape != cache._values_shape:
+        raise ValueError(f"field values {v.shape} do not match the cache's {cache._values_shape}")
+    a, b = cache.rotation(ctau)
     axes, shape = cache._axes, cache._shape
     # An explicit s= skips numpy's per-call shape inference; fftn/ifftn, not fft2/ifft2 (below).
     np.fft.fftn(v, s=shape, axes=axes, out=v)
@@ -176,16 +207,17 @@ def apply_T_flow(field: SpinorField, ctau: float, cache: SpectralCache) -> Spino
 
 
 def apply_W_flow(
-    field: SpinorField,
+    field: Field,
     ctau: float,
     t_eval: float,
     potential: Potential,
     params: PhysParams,
     wcache: Optional[WFlowCache] = None,
-) -> SpinorField:
+) -> Field:
     """Apply e^{c tau W(t_eval)} in place: scalar phase e^{-i c tau V/delta}.
 
-    t_eval is ignored for time-independent potentials.  When `wcache` is
+    t_eval is ignored for time-independent potentials.  The phase has grid
+    shape, so it acts on every member of a `SpinorBatch`.  When `wcache` is
     supplied (time-independent potentials only) the phase table is reused
     across steps; it must have been built on the field's grid from the same
     potential and delta.

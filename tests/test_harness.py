@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import types
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import diracsplit.harness as harness_module
 from diracsplit.harness import (
     CACHE_ENV_VAR,
     DEFAULT_CACHE_DIR,
@@ -18,6 +21,8 @@ from diracsplit.harness import (
     ReferenceProtocol,
     SweepSpec,
     _reference_header,
+    _run_cells,
+    _solve,
     _successive_ratios,
     _write_reference,
     error_metrics,
@@ -40,6 +45,7 @@ from diracsplit.harness import (
 from diracsplit.model import (
     PhysParams,
     SpinorField,
+    constant_potential,
     gaussian_ic,
     make_grid,
     mass,
@@ -654,6 +660,123 @@ class TestSuperresSweep:
 
 
 # ---------------------------------------------------------------------------
+# study cells propagated in batches
+
+
+def _without_wall_time(records):
+    return [dataclasses.replace(r, wall_time=0.0) for r in records]
+
+
+def _serial_records(scheme, t_final, cells):
+    """What each cell gives when it is propagated alone."""
+    records = []
+    for problem, tau, n_steps, reference in cells:
+        [(field, _, drift)] = _solve([problem], scheme, tau, n_steps)
+        records.append(ErrorRecord(scheme, problem.grid.h, tau, problem.params.epsilon, t_final,
+                                   *error_metrics(field, reference),
+                                   mass_drift=drift, wall_time=0.0))
+    return records
+
+
+def _sweep_cells(tmp_path):
+    """The cells of the tiny resonant sweep, epsilon by epsilon as the sweep lists them."""
+    spec = tiny_sweep_spec()
+    problems = [tiny_factory(eps) for eps in spec.epsilons]
+    t_final = 2.0 * math.pi
+    protocol = ReferenceProtocol("S6c", float(spec.reference_tau) * math.pi)
+    cells = []
+    for eps, problem in zip(spec.epsilons, problems):
+        reference = reference_solution(problem, t_final, protocol, cache_dir=tmp_path)
+        for q, tau in zip(spec.tau_fractions(), spec.taus()):
+            if spec.admissible(eps, q):
+                cells.append((problem, tau, int(Fraction(2) / q), reference))
+    return t_final, cells
+
+
+class TestBatchedCells:
+    @pytest.mark.parametrize("differs", ["grid", "potential", "delta", "t_start"])
+    def test_members_must_share_grid_potential_delta_and_t_start(self, differs):
+        base = small_problem(32)
+        other = {
+            "grid": lambda: small_problem(64),
+            "potential": lambda: dataclasses.replace(base, potential=constant_potential(0.5)),
+            "delta": lambda: dataclasses.replace(base, params=PhysParams(delta=0.5)),
+            "t_start": lambda: dataclasses.replace(base, t_start=0.25),
+        }[differs]()
+        with pytest.raises(ValueError, match="does not match|a batch needs one grid"):
+            _solve([base, other], "S2", 0.05, 2)
+
+    def test_members_may_differ_in_epsilon_nu_and_initial_data(self):
+        base = small_problem(32)
+        other = dataclasses.replace(
+            base, params=PhysParams(nu=0.5, epsilon=0.25),
+            initial=gaussian_ic(base.grid, (1.0, -2.0)),
+        )
+        solved = _solve([base, other], "S6c", 0.05, 3)
+        for problem, (field, _, drift) in zip((base, other), solved):
+            [(alone, _, alone_drift)] = _solve([problem], "S6c", 0.05, 3)
+            np.testing.assert_array_equal(field.values, alone.values)
+            assert drift == alone_drift <= 1e-12
+
+    def test_records_keep_the_cell_order(self, tmp_path):
+        t_final, cells = _sweep_cells(tmp_path)
+        records = _run_cells("S6c", t_final, cells, workers=1)
+        assert [(r.epsilon, r.tau) for r in records] == [
+            (p.params.epsilon, tau) for p, tau, _, _ in cells
+        ]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sweep_records_equal_the_serial_records(self, workers, tmp_path):
+        t_final, cells = _sweep_cells(tmp_path)
+        result = superres_sweep(tiny_sweep_spec(), Fraction(2), problem_factory=tiny_factory,
+                                scheme="S6c", cache_dir=tmp_path, workers=workers)
+        got = [r for _, _, r in result.cells]
+        assert _without_wall_time(got) == _serial_records("S6c", t_final, cells)
+
+    def test_group_wall_times_sum_to_the_loop_time(self, tmp_path, monkeypatch):
+        t_final, cells = _sweep_cells(tmp_path)
+        ticks = iter(range(0, 1000, 3))  # every loop reads 3 s on this clock
+        monkeypatch.setattr(harness_module, "time", types.SimpleNamespace(
+            perf_counter=lambda: float(next(ticks))))
+        records = _run_cells("S6c", t_final, cells, workers=1)
+        by_tau: dict[float, list[float]] = {}
+        for r in records:
+            by_tau.setdefault(r.tau, []).append(r.wall_time)
+        assert [len(walls) for walls in by_tau.values()] == [3, 2, 2, 1]
+        for walls in by_tau.values():
+            assert len(set(walls)) == 1
+            assert sum(walls) == pytest.approx(3.0, rel=1e-15)
+
+    def test_convergence_studies_propagate_one_cell_at_a_time(self, tmp_path, monkeypatch):
+        sizes = []
+        solve = harness_module._solve
+
+        def counting(problems, *args):
+            sizes.append(len(problems))
+            return solve(problems, *args)
+
+        monkeypatch.setattr(harness_module, "_solve", counting)
+        problem = small_problem()
+        protocol = ReferenceProtocol(scheme="S6c", tau=0.003125)
+        temporal = temporal_convergence("S2", STUDY_TAUS, problem, 0.5, protocol,
+                                        cache_dir=tmp_path)
+        reference = reference_solution(problem, 0.5, protocol, cache_dir=tmp_path)
+        cells = [(problem, tau, round(0.5 / tau), reference) for tau in STUDY_TAUS]
+        assert _without_wall_time(temporal.records) == _serial_records("S2", 0.5, cells)
+
+        spatial = spatial_convergence("S2", [1.0, 0.5], spatial_factory, 0.05, 0.25, 0.25,
+                                      cache_dir=tmp_path)
+        fine = reference_solution(spatial_factory(0.25), 0.25,
+                                  ReferenceProtocol(scheme="S2", tau=0.05), cache_dir=tmp_path)
+        cells = [
+            (p, 0.05, 5, SpinorField(p.grid, fine.values[:, :: 64 // p.grid.M].copy()))
+            for p in (spatial_factory(1.0), spatial_factory(0.5))
+        ]
+        assert _without_wall_time(spatial.records) == _serial_records("S2", 0.25, cells)
+        assert set(sizes) == {1}
+
+
+# ---------------------------------------------------------------------------
 # mass monitoring and step timing
 
 
@@ -667,10 +790,14 @@ class TestMonitoring:
     def test_mass_series_zero_steps(self):
         assert mass_series("S2", small_problem(32), 0, 0.05).shape == (0,)
 
-    @pytest.mark.parametrize("bad", [-1, 3.5])
+    @pytest.mark.parametrize("bad", [-1, 3.5, True])
     def test_mass_series_rejects_bad_counts(self, bad):
         with pytest.raises(ValueError, match="nonnegative integer"):
             mass_series("S2", small_problem(32), bad, 0.05)
+
+    def test_mass_series_accepts_a_numpy_integer(self):
+        by_numpy = mass_series("S4c", small_problem(32), np.int64(3), 0.05)
+        np.testing.assert_array_equal(by_numpy, mass_series("S4c", small_problem(32), 3, 0.05))
 
     def test_per_step_time_positive(self):
         t = per_step_time("S2", small_problem(32), 0.05, n_steps=2, repeats=1)

@@ -7,6 +7,7 @@ import pytest
 
 from diracsplit.model import (
     PhysParams,
+    SpinorBatch,
     constant_potential,
     gaussian_ic,
     honeycomb_potential,
@@ -244,6 +245,82 @@ class TestPropagator:
         for k in range(3):
             step(by_steps, 0.05, 0.3 + 0.05 * k, spec, p, cache, wcache)
         np.testing.assert_array_equal(by_run.values, by_steps.values)
+
+
+class TestStepCounts:
+    """One check for every step count: any integer >= 0, but not a bool."""
+
+    def test_run_rejects_a_bool(self, grid1d, params, field1d):
+        propagator = Propagator(catalog("S2"), 0.1, zero_potential(), build_cache(params, grid1d))
+        before = field1d.values.copy()
+        with pytest.raises(ValueError, match="nonnegative integer, got True"):
+            propagator.run(field1d, 0.0, True)
+        np.testing.assert_array_equal(field1d.values, before)
+
+    def test_run_accepts_a_numpy_integer(self, grid1d, params, field1d):
+        propagator = Propagator(catalog("S6c"), 0.1, rational_potential_1d(),
+                                build_cache(params, grid1d))
+        by_numpy = propagator.run(field1d.copy(), 0.0, np.int64(3))
+        by_int = propagator.run(field1d.copy(), 0.0, 3)
+        np.testing.assert_array_equal(by_numpy.values, by_int.values)
+
+
+class TestBatchedPropagation:
+    """Each member of a batch is its own serial run, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "grid, potential, epsilons",
+        [
+            (make_grid(1, -16.0, 16.0, 512), rational_potential_1d(), (1.0, 0.5, 1.0 / 16.0)),
+            # linear theta: the W phase is sampled in every flow, not cached
+            (make_grid(2, -4.0, 4.0, 32), honeycomb_potential("linear"), (1.0, 0.5)),
+        ],
+        ids=["1d-512", "2d-32-linear"],
+    )
+    def test_members_equal_their_serial_runs(self, grid, potential, epsilons, rng):
+        spec = catalog("S6c")
+        members = [PhysParams(epsilon=e) for e in epsilons]
+        fields = [random_field(grid, rng) for _ in members]
+        batch = SpinorBatch(fields)
+        Propagator(spec, 0.05, potential, build_cache(members, grid)).run(batch, 0.3, 4)
+        for p, f, got in zip(members, fields, batch.members()):
+            want = Propagator(spec, 0.05, potential, build_cache(p, grid)).run(f.copy(), 0.3, 4)
+            np.testing.assert_array_equal(got.values, want.values)
+            assert abs(mass(got) - mass(f)) / mass(f) <= 1e-12
+
+    def test_negative_tau_inverts_a_batch(self, grid1d, rng):
+        members = [PhysParams(epsilon=e) for e in (1.0, 0.5, 0.25)]
+        cache = build_cache(members, grid1d)
+        p = rational_potential_1d()
+        for name in ("S2", "S4", "S6c"):
+            spec = catalog(name)
+            fields = [random_field(grid1d, rng) for _ in members]
+            batch = SpinorBatch(fields)
+            step(batch, 0.21, 0.0, spec, p, cache)
+            step(batch, -0.21, 0.0, spec, p, cache)
+            for got, f in zip(batch.members(), fields):
+                np.testing.assert_allclose(got.values, f.values, atol=1e-12)
+
+    @pytest.mark.parametrize("source", ["potential", "delta", "grid"])
+    def test_batch_rejects_foreign_w_table(self, source, grid1d, params, rng):
+        cache = build_cache([params, PhysParams(epsilon=0.5)], grid1d)
+        potential = rational_potential_1d()
+        foreign = {
+            "potential": lambda: WFlowCache(constant_potential(0.5), grid1d, params),
+            "delta": lambda: WFlowCache(potential, grid1d, PhysParams(delta=0.5)),
+            "grid": lambda: WFlowCache(potential, make_grid(1, -16.0, 16.0, 64), params),
+        }[source]()
+        batch = SpinorBatch([random_field(grid1d, rng) for _ in range(2)])
+        before = batch.values.copy()
+        with pytest.raises(ValueError, match="does not match"):
+            step(batch, 0.1, 0.0, catalog("S6c"), potential, cache, foreign)
+        np.testing.assert_array_equal(batch.values, before)
+
+    def test_propagator_builds_one_w_table_for_the_batch(self, grid1d):
+        cache = build_cache([PhysParams(epsilon=e) for e in (1.0, 0.5)], grid1d)
+        propagator = Propagator(catalog("S6c"), 0.1, rational_potential_1d(), cache)
+        assert propagator.wcache.grid == grid1d
+        assert propagator.wcache.phases(0.1).shape == grid1d.shape
 
 
 @pytest.fixture(scope="module")

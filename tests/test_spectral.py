@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from diracsplit.model import (
     PhysParams,
+    SpinorBatch,
     SpinorField,
     constant_potential,
     custom_sampled_potential,
@@ -473,3 +474,88 @@ class TestWFlow:
         tw = apply_W_flow(apply_T_flow(f.copy(), 0.3, cache), 0.4, 0.0, p, params)
         wt = apply_T_flow(apply_W_flow(f.copy(), 0.4, 0.0, p, params), 0.3, cache)
         np.testing.assert_allclose(tw.values, wt.values, atol=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# a leading batch axis: k fields that differ only in T
+
+
+BATCH_EPSILONS = (1.0, 0.5, 1.0 / 16.0)
+
+
+class TestBatchedTFlow:
+    """A batch of k members is the k serial flows, bit for bit."""
+
+    @pytest.mark.parametrize("grid", [make_grid(1, -16.0, 16.0, 512),
+                                      make_grid(2, -4.0, 4.0, 32)], ids=["1d-512", "2d-32"])
+    def test_tables_are_the_members_tables(self, grid):
+        members = [PhysParams(nu=0.9, epsilon=e) for e in BATCH_EPSILONS]
+        batch = build_cache(members, grid)
+        assert batch._axes == tuple(range(2, 2 + grid.dim))
+        for i, p in enumerate(members):
+            own = build_cache(p, grid)
+            for name in ("phase_scale", "nx", "ny", "nz"):
+                np.testing.assert_array_equal(getattr(batch, name)[i], getattr(own, name))
+            for got, want in zip(batch.rotation(-0.37), own.rotation(-0.37)):
+                assert got.shape == (len(members), *grid.shape)
+                np.testing.assert_array_equal(got[i], want)
+
+    def test_one_member_keeps_the_field_layout(self, grid2d, params):
+        for cache in (build_cache(params, grid2d), build_cache([params], grid2d)):
+            assert cache.params is params
+            assert cache._axes == (1, 2)
+            assert cache.phase_scale.shape == grid2d.shape
+            assert cache.rotation(0.1)[0].shape == grid2d.shape
+
+    @pytest.mark.parametrize("grid", [make_grid(1, -16.0, 16.0, 512),
+                                      make_grid(2, -4.0, 4.0, 32)], ids=["1d-512", "2d-32"])
+    def test_batched_flow_is_the_serial_flows_bitwise(self, grid, rng):
+        members = [PhysParams(epsilon=e) for e in BATCH_EPSILONS]
+        fields = [random_field(grid, rng) for _ in members]
+        batch = SpinorBatch(fields)
+        cache = build_cache(members, grid)
+        for ctau in (0.3, -0.37):
+            apply_T_flow(batch, ctau, cache)
+        for p, f, got in zip(members, fields, batch.members()):
+            own = build_cache(p, grid)
+            for ctau in (0.3, -0.37):
+                apply_T_flow(f, ctau, own)
+            np.testing.assert_array_equal(got.values, f.values)
+
+    def test_members_must_share_delta(self, grid1d):
+        with pytest.raises(ValueError, match="share delta"):
+            build_cache([PhysParams(delta=1.0), PhysParams(delta=0.5)], grid1d)
+        with pytest.raises(ValueError, match="at least one"):
+            build_cache([], grid1d)
+
+    def test_members_must_share_the_grid(self, grid1d, rng):
+        other = make_grid(1, -16.0, 16.0, 64)
+        with pytest.raises(ValueError, match="does not match"):
+            SpinorBatch([random_field(grid1d, rng), random_field(other, rng)])
+
+    def test_batch_size_must_match_the_cache(self, grid1d, params, rng):
+        fields = [random_field(grid1d, rng) for _ in range(2)]
+        three = build_cache([params] * 3, grid1d)
+        with pytest.raises(ValueError, match="do not match the cache"):
+            apply_T_flow(SpinorBatch(fields), 0.3, three)
+        with pytest.raises(ValueError, match="do not match the cache"):
+            apply_T_flow(fields[0], 0.3, three)
+        with pytest.raises(ValueError, match="do not match the cache"):
+            apply_T_flow(SpinorBatch(fields), 0.3, build_cache(params, grid1d))
+
+    def test_batch_of_one_is_a_plain_copy(self, field1d):
+        batch = SpinorBatch([field1d])
+        assert batch.values.shape == field1d.values.shape
+        assert not np.shares_memory(batch.values, field1d.values)
+        [member] = batch.members()
+        assert member.values is batch.values
+
+    def test_w_phase_acts_on_every_member(self, grid1d, params, rng):
+        p = rational_potential_1d()
+        fields = [random_field(grid1d, rng) for _ in range(3)]
+        batch = SpinorBatch(fields)
+        wcache = WFlowCache(p, grid1d, params)
+        apply_W_flow(batch, 0.4, 0.0, p, params, wcache)
+        for got, f in zip(batch.members(), fields):
+            want = apply_W_flow(f, 0.4, 0.0, p, params, wcache)
+            np.testing.assert_array_equal(got.values, want.values)

@@ -110,11 +110,12 @@ def test_cli_superres_runs_inside_the_traced_layers(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(
         "[model]\nM = 32\n"
-        f"[run]\nscheme = S2\ncache_dir = {tmp_path / 'refs'}\n"
+        f"[run]\nscheme = S6c\ncache_dir = {tmp_path / 'refs'}\n"
         "[sweep]\nmode = nonresonant\ntau0 = 1/4\nfactor = 2\ncount = 3\n"
         "epsilons = 1, 1/2\nreference_tau = 1/256\nt = 1/2\n"
     )
     cells = 2 * 4  # every (epsilon, tau) cell is admissible off resonance
+    columns = 4  # the two cells of each tau column are propagated as one batch
     code, cold = _traced_main(["superres", "-c", str(cfg)])
     assert code == 0
     assert cold.calls["config.parse"] == 1
@@ -122,17 +123,24 @@ def test_cli_superres_runs_inside_the_traced_layers(tmp_path, capsys):
     assert cold.calls["harness.error_metrics"] == cells
     layers = cold.snapshot()
     assert (layers["harness.reference.hits"], layers["harness.reference.misses"]) == (0, 2)
-    # cells 2 + 4 + 8 + 16 steps per epsilon; one 128-step reference each
-    assert cold.calls["schemes.step"] == 2 * 30 + 2 * 128
-    assert cold.calls["spectral.build_cache"] == cells + 2
+    # cells 2 + 4 + 8 + 16 steps, once per column batch; one 128-step reference per epsilon
+    assert cold.calls["schemes.step"] == 30 + 2 * 128
+    assert cold.calls["spectral.build_cache"] == columns + 2
 
     code, warm = _traced_main(["superres", "-c", str(cfg)])
     assert code == 0
     layers = warm.snapshot()
     assert (layers["harness.reference.hits"], layers["harness.reference.misses"]) == (2, 0)
-    assert warm.calls["schemes.step"] == 2 * 30
+    assert warm.calls["schemes.step"] == 30
     assert warm.calls["harness.error_metrics"] == cells
-    assert warm.calls["spectral.build_cache"] == cells
+    assert warm.calls["spectral.build_cache"] == columns
+    # every batched S6c flow still goes through the traced names: 4 T flows
+    # (2 transforms each) and 5 W flows per step
+    for tracer in (cold, warm):
+        layers = tracer.snapshot()
+        assert layers["spectral.T_flow.calls"] == 4 * tracer.calls["schemes.step"]
+        assert layers["spectral.fft.calls"] == 2 * layers["spectral.T_flow.calls"]
+        assert layers["spectral.W_flow.calls"] == 5 / 4 * layers["spectral.T_flow.calls"]
 
 
 def test_cli_converge_space_runs_inside_the_traced_layers(tmp_path, capsys):
