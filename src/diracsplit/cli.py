@@ -70,11 +70,22 @@ def _write(args, cfg: RunConfig, command: str, lines: Sequence[str]) -> None:
         *(f"#   {line}" for line in cfg.to_text().splitlines()),
         *lines,
     ]) + "\n"
-    path = args.output if args.output is not None else cfg.csv_path
+    path = _csv_path(args, cfg)
     if path in ("-", ""):
         sys.stdout.write(text)
     else:
         Path(path).write_text(text, encoding="utf-8")
+
+
+def _csv_path(args, cfg: RunConfig) -> str:
+    return args.output if args.output is not None else cfg.csv_path
+
+
+def _check_output_dirs(*paths: Optional[str]) -> None:
+    """Fail before any computation when an output file's directory is missing."""
+    for path in paths:
+        if path and path != "-" and not Path(path).parent.is_dir():
+            raise ConfigError(f"cannot write {path}: directory {Path(path).parent} does not exist")
 
 
 def _record_row(r: ErrorRecord, rate: Optional[float]) -> str:
@@ -134,7 +145,7 @@ def _gnuplot_target(args, cfg: RunConfig) -> Optional[tuple[str, str]]:
     path = args.gnuplot if args.gnuplot is not None else cfg.gnuplot_path
     if not path:
         return None
-    csv_path = args.output if args.output is not None else cfg.csv_path
+    csv_path = _csv_path(args, cfg)
     if csv_path in ("", "-"):
         raise ConfigError("--gnuplot requires --output FILE (the script references the CSV)")
     return path, csv_path
@@ -156,6 +167,7 @@ def _cmd_solve(args) -> int:
     if cfg.gnuplot_path:
         raise ConfigError("solve writes no gnuplot script: only converge-time, "
                           "converge-space and superres read [output] gnuplot")
+    _check_output_dirs(_csv_path(args, cfg), args.state_out)
     problem = cfg.problem()
     n = _steps_for_span(cfg.t_final, cfg.tau)
     [(field, wall, drift)] = _solve([problem], cfg.scheme, cfg.tau, n)
@@ -180,12 +192,13 @@ _StudyOutput = tuple[list[str], tuple[str, int, tuple[float, float], tuple[float
 def _run_study(command: str, study: Callable[[RunConfig], _StudyOutput], args) -> int:
     """The one driver of the study commands.
 
-    The gnuplot target is validated before `study` runs, so a bad
-    combination fails before any computation; exit code 2 marks a
-    saturated study.
+    The gnuplot target and the output directories are validated before
+    `study` runs, so a bad combination or a missing directory fails before
+    any computation; exit code 2 marks a saturated study.
     """
     cfg = _load_config(args)
     gnuplot = _gnuplot_target(args, cfg)
+    _check_output_dirs(_csv_path(args, cfg), gnuplot[0] if gnuplot else None)
     lines, axis, saturated = study(cfg)
     _write(args, cfg, command, lines)
     if gnuplot is not None:
@@ -201,7 +214,7 @@ def _run_study(command: str, study: Callable[[RunConfig], _StudyOutput], args) -
 def _converge_time(cfg: RunConfig) -> _StudyOutput:
     study: TemporalStudy = temporal_convergence(
         cfg.scheme, cfg.taus, cfg.problem(), cfg.t_final, cfg.reference_protocol(),
-        floor_factor=cfg.floor_factor, cache_dir=cfg.resolved_cache_dir(),
+        floor_factor=cfg.floor_factor, cache_dir=cfg.cache_dir,
         workers=cfg.workers,
     )
     lines = [",".join(CSV_COLUMNS)]
@@ -221,7 +234,7 @@ def _converge_space(cfg: RunConfig) -> _StudyOutput:
 
     study: SpatialStudy = spatial_convergence(
         cfg.scheme, cfg.h_list, factory, cfg.space_tau, cfg.t_final, cfg.reference_h,
-        cache_dir=cfg.resolved_cache_dir(), workers=cfg.workers,
+        cache_dir=cfg.cache_dir, workers=cfg.workers,
     )
     # the rate column carries the successive error drop e_{k-1}/e_k:
     # spectral accuracy has no algebraic order to fit
@@ -235,7 +248,7 @@ def _superres(cfg: RunConfig) -> _StudyOutput:
     result: SuperresResult = superres_sweep(
         cfg.sweep_spec(), cfg.sweep_t, scheme=cfg.scheme,
         problem_factory=lambda eps: cfg.problem(epsilon=float(eps)),
-        cache_dir=cfg.resolved_cache_dir(), workers=cfg.workers,
+        cache_dir=cfg.cache_dir, workers=cfg.workers,
     )
     lines = [",".join(CSV_COLUMNS)] + [_record_row(r, None) for _, _, r in result.cells]
     # paper-shaped matrix block: rows epsilon (descending), columns tau

@@ -133,13 +133,11 @@ class RunConfig:
     potential_kind: str = _key("potential", "kind", _parse_str, "rational")
     potential_value: float = _key("potential", "value", _parse_float, 0.0)
     theta: str = _key("potential", "theta", _parse_str, "constant")
-    initial_kind: str = _key("initial", "kind", _parse_str, "gaussian")
     center1: tuple[float, ...] = _key("initial", "center1", _parse_floats, (0.0,))
     center2: tuple[float, ...] = _key("initial", "center2", _parse_floats, (1.0,))
     scheme: str = _key("run", "scheme", _parse_str, "S6c")
     t_final: float = _key("run", "t_final", _parse_float, 1.0)
     tau: float = _key("run", "tau", _parse_float, 1e-3)
-    seed: int = _key("run", "seed", _parse_int, 0)
     workers: int = _key("run", "workers", _parse_int, 1)
     cache_dir: str = _key("run", "cache_dir", _parse_str, "")
     taus: tuple[float, ...] = _key("study", "taus", _parse_floats,
@@ -217,9 +215,6 @@ class RunConfig:
             reference_tau=self.sweep_reference_tau,
             reference_scheme=self.reference_scheme,
         )
-
-    def resolved_cache_dir(self) -> Optional[str]:
-        return self.cache_dir or None
 
 
 # potential kind -> (the one dim it supports, or None for any; its factory)
@@ -319,11 +314,6 @@ def _validate(cfg: RunConfig, at: dict[str, Optional[int]]) -> None:
     only_dim = _POTENTIALS[cfg.potential_kind][0]
     _check(only_dim in (None, cfg.dim), f"{cfg.potential_kind} potential is {only_dim}D only",
            at["potential_kind"])
-    _check(
-        cfg.initial_kind == "gaussian",
-        f"initial kind must be 'gaussian', got {cfg.initial_kind!r}",
-        at["initial_kind"],
-    )
     for name in ("center1", "center2"):
         c = getattr(cfg, name)
         _check(
@@ -340,7 +330,6 @@ def _validate(cfg: RunConfig, at: dict[str, Optional[int]]) -> None:
     for name in ("tau", "reference_tau", "space_tau", "reference_h"):
         v = getattr(cfg, name)
         _check(v > 0, f"{name} must be positive, got {v!r}", at[name])
-    _check(cfg.seed >= 0, f"seed must be >= 0, got {cfg.seed}", at["seed"])
     _check(cfg.workers >= 1, f"workers must be >= 1, got {cfg.workers}", at["workers"])
     _check(len(cfg.taus) >= 3, "taus needs at least 3 step sizes", at["taus"])
     _check(all(t > 0 for t in cfg.taus), "every tau must be positive", at["taus"])

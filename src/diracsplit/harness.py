@@ -242,8 +242,11 @@ def _key_lock(key: str) -> threading.Lock:
 
 
 def resolve_cache_dir(cache_dir: str | os.PathLike | None = None) -> Path:
-    """Explicit directory, else $DIRACSPLIT_CACHE, else ./.diracsplit-cache."""
-    if cache_dir is not None:
+    """Explicit directory, else $DIRACSPLIT_CACHE, else ./.diracsplit-cache.
+
+    None and "" both mean no explicit directory, like an empty variable.
+    """
+    if cache_dir:
         return Path(cache_dir)
     env = os.environ.get(CACHE_ENV_VAR)
     if env:
@@ -555,7 +558,6 @@ def temporal_convergence(
     *,
     floor_factor: float = 10.0,
     cache_dir: str | os.PathLike | None = None,
-    use_cache: bool = True,
     workers: int = 1,
 ) -> TemporalStudy:
     """Run the scheme over a ladder of time steps against a fine reference.
@@ -570,12 +572,9 @@ def temporal_convergence(
         raise ValueError("temporal convergence needs at least 3 step sizes")
     span = t_final - problem.t_start
     counts = [_steps_for_span(span, tau) for tau in taus]
-    reference = reference_solution(
-        problem, t_final, protocol,
-        study_taus=taus, cache_dir=cache_dir, use_cache=use_cache,
-    )
+    reference = reference_solution(problem, t_final, protocol, study_taus=taus, cache_dir=cache_dir)
     self_distance = reference_self_distance(
-        problem, t_final, protocol, cache_dir=cache_dir, use_cache=use_cache, fine=reference
+        problem, t_final, protocol, cache_dir=cache_dir, fine=reference
     )
     cells = [(problem, tau, n, reference) for tau, n in zip(taus, counts)]
     records = tuple(_run_cells(scheme_name, t_final, cells, workers))
@@ -612,7 +611,6 @@ def spatial_convergence(
     reference_h: float,
     *,
     cache_dir: str | os.PathLike | None = None,
-    use_cache: bool = True,
     workers: int = 1,
 ) -> SpatialStudy:
     """Error against a fine-grid reference for each mesh size.
@@ -640,9 +638,7 @@ def spatial_convergence(
             raise ValueError(f"study grid M={m} does not nest into reference M={m_ref}")
         sl = (slice(None),) + (slice(None, None, m_ref // m),) * problem.grid.dim
         studied.append((problem, _steps_for_span(t_final - problem.t_start, tau), sl))
-    reference = reference_solution(
-        ref_problem, t_final, protocol, cache_dir=cache_dir, use_cache=use_cache
-    )
+    reference = reference_solution(ref_problem, t_final, protocol, cache_dir=cache_dir)
     cells = [
         (problem, tau, n, SpinorField(problem.grid, reference.values[sl].copy()))
         for problem, n, sl in studied
@@ -732,7 +728,6 @@ def superres_sweep(
     scheme: str = "S6c",
     problem_factory: Optional[Callable[[Fraction], Problem]] = None,
     cache_dir: str | os.PathLike | None = None,
-    use_cache: bool = True,
     workers: int = 1,
 ) -> SuperresResult:
     """Error matrix over (epsilon, tau) with column maxima and their rates.
@@ -772,10 +767,7 @@ def superres_sweep(
     # thread pool, short 1D solves ran slower than one after another.
     problems = [problem_factory(eps) for eps in spec.epsilons]
     references = [
-        reference_solution(
-            problem, t_final, protocol,
-            study_taus=taus, cache_dir=cache_dir, use_cache=use_cache,
-        )
+        reference_solution(problem, t_final, protocol, study_taus=taus, cache_dir=cache_dir)
         for problem in problems
     ]
     cells = [

@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from diracsplit import cli, harness
 from diracsplit.cli import CSV_COLUMNS, _gnuplot_script, main
 from diracsplit.config import ConfigError, RunConfig, default_config, parse_config
+from diracsplit.harness import CACHE_ENV_VAR, DEFAULT_CACHE_DIR, resolve_cache_dir
 from diracsplit.lie import frozen_coefficients
 from diracsplit.model import mass
 
@@ -63,16 +67,33 @@ class TestConfigDefaults:
         assert keys == [
             "[model]", "dim", "delta", "nu", "epsilon", "a", "b", "M",
             "[potential]", "kind", "value", "theta",
-            "[initial]", "kind", "center1", "center2",
-            "[run]", "scheme", "t_final", "tau", "seed", "workers", "cache_dir",
+            "[initial]", "center1", "center2",
+            "[run]", "scheme", "t_final", "tau", "workers", "cache_dir",
             "[study]", "taus", "reference_scheme", "reference_tau", "floor_factor",
             "[space]", "h_list", "reference_h", "tau",
             "[sweep]", "mode", "tau0", "factor", "count", "epsilons", "reference_tau", "t",
             "[output]", "csv", "gnuplot",
         ]
         assert cfg.content_hash() == (
-            "10e53f7098913775f4b87c50d355341c982f9667eef0c9e750e82211619975c1"
+            "07fd0e3687ab632108f6ddeaa5d9811290dfc39ef89f66d959dc7f91ed88abd6"
         )
+
+    def test_readme_config_block_lists_the_schema(self):
+        # the README's hand-written key list must name every key, in order
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        after = readme.split("## Configuration format", 1)[1]
+        block = after.split("```\n", 2)[1]
+        listed = []
+        for section, keys in re.findall(r"^\[(\w+)\]([^[]*)", block, flags=re.M):
+            listed.append(f"[{section}]")
+            listed += [k.strip() for k in re.sub(r"\([^()]*\)", "", keys).split(",")]
+        schema = []
+        for f in fields(RunConfig):
+            section = f"[{f.metadata['section']}]"
+            if section not in schema:
+                schema.append(section)
+            schema.append(f.metadata["key"])
+        assert listed == schema
 
 
 class TestConfigParsing:
@@ -106,6 +127,8 @@ class TestConfigParsing:
             ("[model]\nepsilon = inf\n", 2, "finite"),
             ("[run]\nscheme = S0\n", 2, "unknown scheme"),
             ("[run]\nworkers = 0\n", 2, "workers"),
+            ("[run]\nseed = 0\n", 2, "unknown key"),
+            ("[initial]\nkind = gaussian\n", 2, "unknown key"),
             ("[study]\ntaus = 0.1, 0.05\n", 2, "at least 3"),
             ("[study]\ntaus = 0.1, 0.1, 0.05\n", 2, "duplicates"),
             ("[space]\nh_list = 0.3\n", 2, "even number of cells"),
@@ -173,10 +196,14 @@ class TestDerivedObjects:
         assert spec.tau0 == Fraction(1, 2)
         assert spec.mode == "resonant"
 
-    def test_resolved_cache_dir(self):
-        assert default_config().resolved_cache_dir() is None
-        cfg = parse_config("[run]\ncache_dir = /tmp/refs\n")
-        assert cfg.resolved_cache_dir() == "/tmp/refs"
+    def test_empty_cache_dir_means_unset(self, monkeypatch, tmp_path):
+        # the default cache_dir = "" falls through to the variable, then the default
+        cache_dir = default_config().cache_dir
+        assert cache_dir == ""
+        monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "envcache"))
+        assert resolve_cache_dir(cache_dir) == tmp_path / "envcache"
+        monkeypatch.delenv(CACHE_ENV_VAR)
+        assert resolve_cache_dir(cache_dir) == Path(DEFAULT_CACHE_DIR)
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +337,49 @@ class TestCliSolve:
         assert "only converge-time, converge-space and superres read" in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+
+class TestCliOutputPaths:
+    SOLVE = "[model]\nM = 32\n[run]\ntau = 0.05\nt_final = 0.25\n"
+    SWEEP = (
+        "[model]\nM = 32\n[run]\nscheme = S2\ncache_dir = {cache}\n"
+        "[sweep]\nmode = nonresonant\ntau0 = 1/4\nfactor = 2\ncount = 3\n"
+        "epsilons = 1, 1/2\nreference_tau = 1/256\nt = 1\n"
+        "[output]\ncsv = {missing}/sweep.csv\n"
+    )
+
+    @pytest.mark.parametrize("command, outputs", [
+        ("solve", ["--state-out", "{missing}/s.state"]),
+        ("solve", ["-o", "{missing}/run.txt"]),
+        ("converge-time", ["-o", "{missing}/t.csv"]),
+        ("converge-time", ["-o", "{tmp}/t.csv", "--gnuplot", "{missing}/t.gp"]),
+        ("converge-space", ["-o", "{missing}/s.csv"]),
+        ("superres", []),  # the CSV path comes from the [output] csv key
+    ], ids=["solve-state", "solve-output", "time-csv", "time-gnuplot", "space-csv",
+            "superres-csv-key"])
+    def test_missing_output_directory_fails_before_any_solve(
+        self, command, outputs, capsys, tmp_path, monkeypatch
+    ):
+        solves = []
+        original = harness._solve
+
+        def counting(*args):
+            solves.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(harness, "_solve", counting)
+        monkeypatch.setattr(cli, "_solve", counting)
+        refs, missing = tmp_path / "refs", tmp_path / "absent"
+        text = {"solve": self.SOLVE, "superres": self.SWEEP}.get(command, SMALL_STUDY)
+        cfg = write_config(tmp_path, text.format(cache=refs, missing=missing))
+        argv = [arg.format(tmp=tmp_path, missing=missing) for arg in outputs]
+        assert main([command, "-c", str(cfg), *argv]) == 1
+        assert solves == []
+        assert not refs.exists() and not missing.exists()
+        captured = capsys.readouterr()
+        assert f"cannot write {missing}/" in captured.err
+        assert ".tmp-" not in captured.err
+        assert captured.out == ""
 
 
 class TestCliStudies:

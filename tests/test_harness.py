@@ -464,10 +464,9 @@ class TestTemporalConvergence:
         assert study.fit_phi.order is None
         assert study.fit_phi.points_used == ()
 
-    @pytest.mark.parametrize("use_cache", [False, True])
-    def test_reference_is_propagated_once(self, use_cache, tmp_path, monkeypatch):
+    def test_reference_is_propagated_once(self, tmp_path, monkeypatch):
         # The self-distance reuses the fine reference: one fine and one
-        # coarse propagation, whether or not the disk cache is in play.
+        # coarse propagation.
         import diracsplit.harness as harness
 
         propagated = []
@@ -482,7 +481,7 @@ class TestTemporalConvergence:
         study = temporal_convergence(
             "S2", STUDY_TAUS, small_problem(32), 0.5,
             ReferenceProtocol(scheme="S6c", tau=tau),
-            cache_dir=tmp_path, use_cache=use_cache,
+            cache_dir=tmp_path,
         )
         assert propagated == [tau, 2 * tau]
         assert all(d > 0.0 for d in study.self_distance)
