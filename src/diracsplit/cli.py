@@ -59,9 +59,8 @@ def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
-def _write(args, cfg: RunConfig, command: str, lines: Sequence[str]) -> None:
-    """Write the metadata block and then `lines` to --output, else the
-    config's csv path ('-' or empty for stdout)."""
+def _write(csv_path: Optional[str], cfg: RunConfig, command: str, lines: Sequence[str]) -> None:
+    """Write the metadata block and then `lines` to `csv_path`, or stdout if None."""
     text = "\n".join([
         f"# diracsplit {__version__}",
         f"# command: {command}",
@@ -70,22 +69,10 @@ def _write(args, cfg: RunConfig, command: str, lines: Sequence[str]) -> None:
         *(f"#   {line}" for line in cfg.to_text().splitlines()),
         *lines,
     ]) + "\n"
-    path = _csv_path(args, cfg)
-    if path in ("-", ""):
+    if csv_path is None:
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text, encoding="utf-8")
-
-
-def _csv_path(args, cfg: RunConfig) -> str:
-    return args.output if args.output is not None else cfg.csv_path
-
-
-def _check_output_dirs(*paths: Optional[str]) -> None:
-    """Fail before any computation when an output file's directory is missing."""
-    for path in paths:
-        if path and path != "-" and not Path(path).parent.is_dir():
-            raise ConfigError(f"cannot write {path}: directory {Path(path).parent} does not exist")
+        Path(csv_path).write_text(text, encoding="utf-8")
 
 
 def _record_row(r: ErrorRecord, rate: Optional[float]) -> str:
@@ -139,16 +126,39 @@ def _gnuplot_script(csv_path: str, xlabel: str, xcol: int,
     return "\n".join(lines) + "\n"
 
 
-def _gnuplot_target(args, cfg: RunConfig) -> Optional[tuple[str, str]]:
-    """Resolve (script path, csv path); validates up front so a bad
-    combination fails before any computation is spent."""
-    path = args.gnuplot if args.gnuplot is not None else cfg.gnuplot_path
-    if not path:
-        return None
-    csv_path = _csv_path(args, cfg)
-    if csv_path in ("", "-"):
+def _outputs(command: str, args, cfg: RunConfig) -> tuple[Optional[str], ...]:
+    """Resolve the (CSV, gnuplot, --state-out) paths; None is stdout for the
+    CSV and no file for the others.
+
+    A flag wins over its key (`--gnuplot ""` turns the plot off).  Every
+    setting that would fail a write or put two outputs on one file is
+    rejected here, before any computation.
+    """
+    csv = args.output if args.output is not None else cfg.csv_path
+    flag = getattr(args, "gnuplot", None)
+    gnuplot = (flag if flag is not None else cfg.gnuplot_path) or None
+    state = getattr(args, "state_out", None) or None
+    csv_file = None if csv in ("", "-") else csv
+    if gnuplot and command == "solve":
+        raise ConfigError("solve writes no gnuplot script: only converge-time, "
+                          "converge-space and superres read [output] gnuplot")
+    if gnuplot and csv_file is None:
         raise ConfigError("--gnuplot requires --output FILE (the script references the CSV)")
-    return path, csv_path
+    written: dict[Path, str] = {}  # resolved path -> which output goes there
+    for what, path in (("the CSV", csv_file), ("the gnuplot script", gnuplot),
+                       ("the state file", state)):
+        if path is None:
+            continue
+        target = Path(path)
+        if not target.parent.is_dir():
+            raise ConfigError(f"cannot write {path}: directory {target.parent} does not exist")
+        if target.is_dir():
+            raise ConfigError(f"cannot write {path}: it is a directory")
+        if target.resolve() in written:
+            raise ConfigError(f"cannot write {path}: {written[target.resolve()]} and "
+                              f"{what} would overwrite each other")
+        written[target.resolve()] = what
+    return csv_file, gnuplot, state
 
 
 # ---------------------------------------------------------------------------
@@ -162,56 +172,45 @@ def _load_config(args) -> RunConfig:
     return parse_config(text, **overrides)
 
 
-def _cmd_solve(args) -> int:
+# a run command's body takes the config and the --state-out path and hands the
+# driver its data lines, its gnuplot axis (xlabel, CSV column, anchor point,
+# epsilons of the per-epsilon series; None for solve) and whether it saturated
+_Axis = tuple[str, int, tuple[float, float], tuple[float, ...]]
+_RunOutput = tuple[list[str], Optional[_Axis], bool]
+
+
+def _run(command: str, body: Callable[[RunConfig, Optional[str]], _RunOutput], args) -> int:
+    """The one driver of the run commands: every output path is checked before
+    `body` runs; exit code 2 marks a saturated study."""
     cfg = _load_config(args)
-    if cfg.gnuplot_path:
-        raise ConfigError("solve writes no gnuplot script: only converge-time, "
-                          "converge-space and superres read [output] gnuplot")
-    _check_output_dirs(_csv_path(args, cfg), args.state_out)
-    problem = cfg.problem()
-    n = _steps_for_span(cfg.t_final, cfg.tau)
-    [(field, wall, drift)] = _solve([problem], cfg.scheme, cfg.tau, n)
-    if args.state_out:
-        header = _reference_header(problem, cfg.t_final,
-                                   ReferenceProtocol(scheme=cfg.scheme, tau=cfg.tau))
-        _write_reference(Path(args.state_out), header, field.values)
-        _diag(f"wrote final state to {args.state_out}")
-    _write(args, cfg, "solve", [
-        f"scheme={cfg.scheme} steps={n} tau={_fmt(cfg.tau)} t_final={_fmt(cfg.t_final)} "
-        f"mass={_fmt(mass(field))} mass_drift={_fmt(drift)} wall_time={_fmt(wall)}"
-    ])
-    return 0
-
-
-# what a study command hands the driver: data lines, the gnuplot axis
-# (xlabel, CSV column, anchor point, epsilons of the per-epsilon series) and
-# whether the study saturated
-_StudyOutput = tuple[list[str], tuple[str, int, tuple[float, float], tuple[float, ...]], bool]
-
-
-def _run_study(command: str, study: Callable[[RunConfig], _StudyOutput], args) -> int:
-    """The one driver of the study commands.
-
-    The gnuplot target and the output directories are validated before
-    `study` runs, so a bad combination or a missing directory fails before
-    any computation; exit code 2 marks a saturated study.
-    """
-    cfg = _load_config(args)
-    gnuplot = _gnuplot_target(args, cfg)
-    _check_output_dirs(_csv_path(args, cfg), gnuplot[0] if gnuplot else None)
-    lines, axis, saturated = study(cfg)
-    _write(args, cfg, command, lines)
+    csv, gnuplot, state = _outputs(command, args, cfg)
+    lines, axis, saturated = body(cfg, state)
+    _write(csv, cfg, command, lines)
     if gnuplot is not None:
-        path, csv_path = gnuplot
-        Path(path).write_text(_gnuplot_script(csv_path, *axis), encoding="utf-8")
-        _diag(f"wrote gnuplot script to {path}")
+        Path(gnuplot).write_text(_gnuplot_script(csv, *axis), encoding="utf-8")
+        _diag(f"wrote gnuplot script to {gnuplot}")
     if saturated:
         _diag("saturated: every error is within the floor; no order can be claimed")
         return 2
     return 0
 
 
-def _converge_time(cfg: RunConfig) -> _StudyOutput:
+def _solve_once(cfg: RunConfig, state_out: Optional[str]) -> _RunOutput:
+    problem = cfg.problem()
+    n = _steps_for_span(cfg.t_final, cfg.tau)
+    [(field, wall, drift)] = _solve([problem], cfg.scheme, cfg.tau, n)
+    if state_out:
+        header = _reference_header(problem, cfg.t_final,
+                                   ReferenceProtocol(scheme=cfg.scheme, tau=cfg.tau))
+        _write_reference(Path(state_out), header, field.values)
+        _diag(f"wrote final state to {state_out}")
+    return [
+        f"scheme={cfg.scheme} steps={n} tau={_fmt(cfg.tau)} t_final={_fmt(cfg.t_final)} "
+        f"mass={_fmt(mass(field))} mass_drift={_fmt(drift)} wall_time={_fmt(wall)}"
+    ], None, False
+
+
+def _converge_time(cfg: RunConfig, _state_out: None) -> _RunOutput:
     study: TemporalStudy = temporal_convergence(
         cfg.scheme, cfg.taus, cfg.problem(), cfg.t_final, cfg.reference_protocol(),
         floor_factor=cfg.floor_factor, cache_dir=cfg.cache_dir,
@@ -228,7 +227,7 @@ def _converge_time(cfg: RunConfig) -> _StudyOutput:
     return lines, ("tau", 3, (first.tau, first.e_phi), ()), study.saturated
 
 
-def _converge_space(cfg: RunConfig) -> _StudyOutput:
+def _converge_space(cfg: RunConfig, _state_out: None) -> _RunOutput:
     def factory(h: float):
         return replace(cfg, M=round((cfg.b - cfg.a) / h)).problem()
 
@@ -244,7 +243,7 @@ def _converge_space(cfg: RunConfig) -> _StudyOutput:
     return lines, ("h", 2, (first.h, first.e_phi), ()), False
 
 
-def _superres(cfg: RunConfig) -> _StudyOutput:
+def _superres(cfg: RunConfig, _state_out: None) -> _RunOutput:
     result: SuperresResult = superres_sweep(
         cfg.sweep_spec(), cfg.sweep_t, scheme=cfg.scheme,
         problem_factory=lambda eps: cfg.problem(epsilon=float(eps)),
@@ -357,7 +356,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="propagate once and print a summary line")
     add_run_args(p)
     p.add_argument("--state-out", help="dump the final spinor field to this path")
-    p.set_defaults(func=_cmd_solve)
+    p.set_defaults(func=partial(_run, "solve", _solve_once))
 
     for name, help_text, study in (
         ("converge-time", "temporal convergence study (CSV)", _converge_time),
@@ -368,7 +367,7 @@ def _build_parser() -> argparse.ArgumentParser:
         add_run_args(p)
         p.add_argument("--gnuplot", nargs="?", const="plot.gp",
                        help="also write a gnuplot (>= 5) script to this path")
-        p.set_defaults(func=partial(_run_study, name, study))
+        p.set_defaults(func=partial(_run, name, study))
 
     p = sub.add_parser("coeffs", help="derive or verify the compact sixth-order constants")
     group = p.add_mutually_exclusive_group(required=True)

@@ -190,16 +190,11 @@ class RunConfig:
         params = self.params() if epsilon is None else PhysParams(
             delta=self.delta, nu=self.nu, epsilon=float(epsilon)
         )
-        centers = (
-            (self.center1[0], self.center2[0])
-            if self.dim == 1
-            else (self.center1, self.center2)
-        )
         return Problem(
             grid=grid,
             params=params,
             potential=self.potential(),
-            initial=gaussian_ic(grid, centers),
+            initial=gaussian_ic(grid, (self.center1, self.center2)),
         )
 
     def reference_protocol(self) -> ReferenceProtocol:

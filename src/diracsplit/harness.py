@@ -278,41 +278,31 @@ def reference_key(problem: Problem, t_final: float, protocol: ReferenceProtocol)
     return _header_key(_reference_header(problem, t_final, protocol))
 
 
+def _reference_head(header: list[tuple[str, str]], payload: bytes) -> bytes:
+    """Everything before the payload of a reference file: the magic line,
+    the header lines, the payload's SHA-256 and size, and a blank line."""
+    lines = [CACHE_MAGIC, *(f"{k}: {v}" for k, v in header),
+             f"payload-sha256: {hashlib.sha256(payload).hexdigest()}",
+             f"payload-bytes: {len(payload)}"]
+    return ("\n".join(lines) + "\n\n").encode()
+
+
 def _write_reference(path: Path, header: list[tuple[str, str]], values: np.ndarray) -> None:
     payload = np.ascontiguousarray(values, dtype="<c16").tobytes()
-    lines = [CACHE_MAGIC]
-    lines.extend(f"{k}: {v}" for k, v in header)
-    lines.append(f"payload-sha256: {hashlib.sha256(payload).hexdigest()}")
-    lines.append(f"payload-bytes: {len(payload)}")
-    blob = ("\n".join(lines) + "\n\n").encode() + payload
     tmp = path.with_name(f".tmp-{os.getpid()}-{path.name}")
-    tmp.write_bytes(blob)
+    tmp.write_bytes(_reference_head(header, payload) + payload)
     os.replace(tmp, path)
 
 
 def _read_reference(path: Path, header: list[tuple[str, str]], shape: tuple[int, ...]) -> Optional[np.ndarray]:
-    """Parse a cache file; any mismatch or corruption counts as a miss."""
+    """Read a cache file: a miss (None) unless its head is byte for byte the
+    one `_write_reference` writes for this header and payload."""
     try:
         blob = path.read_bytes()
     except OSError:
         return None
-    sep = blob.find(b"\n\n")
-    if sep < 0:
-        return None
-    text = blob[:sep].decode(errors="replace").splitlines()
-    payload = blob[sep + 2 :]
-    if not text or text[0] != CACHE_MAGIC:
-        return None
-    fields: dict[str, str] = {}
-    for line in text[1:]:
-        key, _, value = line.partition(": ")
-        fields[key] = value
-    for k, v in header:
-        if fields.get(k) != v:
-            return None
-    if fields.get("payload-bytes") != str(len(payload)):
-        return None
-    if fields.get("payload-sha256") != hashlib.sha256(payload).hexdigest():
+    head, blank, payload = blob.partition(b"\n\n")
+    if head + blank != _reference_head(header, payload):
         return None
     values = np.frombuffer(payload, dtype="<c16").astype(np.complex128)
     return values.reshape(shape)

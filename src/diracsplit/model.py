@@ -141,10 +141,6 @@ class SpinorField:
             raise FloatingPointError("spinor field contains non-finite entries")
         return self
 
-    @classmethod
-    def zeros(cls, grid: Grid) -> "SpinorField":
-        return cls(grid, np.zeros((2, *grid.shape), dtype=np.complex128))
-
 
 class SpinorBatch:
     """Copies of k spinor fields on one grid, propagated as one.
@@ -351,8 +347,8 @@ def custom_sampled_potential(grid: Grid, values: np.ndarray) -> Potential:
 def gaussian_ic(grid: Grid, centers: Sequence) -> SpinorField:
     """Gaussian initial data: component k is exp(-|x - c_k|^2 / 2).
 
-    `centers` gives one center per spinor component: two scalars in 1D,
-    two coordinate pairs in 2D.
+    `centers` gives one center per spinor component: a scalar or a
+    1-tuple in 1D, a coordinate pair in 2D.
     """
     if len(centers) != 2:
         raise ValueError("centers must give one center per spinor component")

@@ -13,7 +13,12 @@ import pytest
 from diracsplit import cli, harness
 from diracsplit.cli import CSV_COLUMNS, _gnuplot_script, main
 from diracsplit.config import ConfigError, RunConfig, default_config, parse_config
-from diracsplit.harness import CACHE_ENV_VAR, DEFAULT_CACHE_DIR, resolve_cache_dir
+from diracsplit.harness import (
+    CACHE_ENV_VAR,
+    DEFAULT_CACHE_DIR,
+    gaussian_problem_1d,
+    resolve_cache_dir,
+)
 from diracsplit.lie import frozen_coefficients
 from diracsplit.model import mass
 
@@ -164,6 +169,13 @@ class TestDerivedObjects:
         assert p.grid.dim == 1 and p.grid.M == 512
         assert p.potential.time_independent
         assert math.isclose(mass(p.initial), 2.0 * math.sqrt(math.pi), rel_tol=1e-12)
+
+    def test_default_problem_is_the_1d_benchmark(self):
+        # the config's 1-tuple centers give the benchmark's initial data bitwise
+        p = default_config().problem()
+        assert p.initial.values.tobytes() == gaussian_problem_1d().initial.values.tobytes()
+        assert p.initial_digest() == (
+            "71840dcd1abcb3bef32d901b1bfef898bd406a9eaca2d987b03e88f89a44a228")
 
     def test_problem_with_epsilon_override(self):
         cfg = default_config()
@@ -379,6 +391,43 @@ class TestCliOutputPaths:
         captured = capsys.readouterr()
         assert f"cannot write {missing}/" in captured.err
         assert ".tmp-" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command, outputs, keys", [
+        ("converge-time", ["-o", "{dir}"], ""),
+        ("converge-time", [], "[output]\ncsv = {dir}\n"),
+        ("converge-time", ["-o", "{tmp}/t.csv", "--gnuplot", "{dir}"], ""),
+        ("solve", ["--state-out", "{dir}"], ""),
+        ("converge-time", ["-o", "{file}", "--gnuplot", "{dir}/../kept.txt"], ""),
+        ("solve", ["-o", "{file}", "--state-out", "{file}"], ""),
+    ], ids=["csv-flag-is-dir", "csv-key-is-dir", "gnuplot-is-dir", "state-is-dir",
+            "csv-is-gnuplot", "csv-is-state"])
+    def test_unwritable_output_fails_before_any_solve(
+        self, command, outputs, keys, capsys, tmp_path, monkeypatch
+    ):
+        solves = []
+        original = harness._solve
+
+        def counting(*args):
+            solves.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(harness, "_solve", counting)
+        monkeypatch.setattr(cli, "_solve", counting)
+        refs, directory, kept = tmp_path / "refs", tmp_path / "outdir", tmp_path / "kept.txt"
+        directory.mkdir()
+        kept.write_text("keep\n", encoding="utf-8")
+        names = {"tmp": tmp_path, "dir": directory, "file": kept}
+        text = self.SOLVE if command == "solve" else SMALL_STUDY.format(cache=refs)
+        cfg = write_config(tmp_path, text + keys.format(**names))
+        before = sorted(tmp_path.rglob("*"))
+        argv = [arg.format(**names) for arg in outputs]
+        assert main([command, "-c", str(cfg), *argv]) == 1
+        assert solves == []
+        assert sorted(tmp_path.rglob("*")) == before  # no cache dir, no new file
+        assert kept.read_text(encoding="utf-8") == "keep\n"
+        captured = capsys.readouterr()
+        assert "cannot write" in captured.err
         assert captured.out == ""
 
 

@@ -282,6 +282,21 @@ class TestReferenceCache:
         again = reference_solution(p, 0.2, proto, cache_dir=tmp_path)
         np.testing.assert_array_equal(again.values, first.values)
 
+    def test_reordered_header_is_a_miss(self, tmp_path):
+        p = small_problem(32)
+        proto = ReferenceProtocol(scheme="S2", tau=0.05)
+        first = reference_solution(p, 0.2, proto, cache_dir=tmp_path)
+        path = next(tmp_path.glob("*.ref"))
+        # a doctored payload under the right header lines, two of them swapped:
+        # read as a hit, the call would return the doctored values
+        _write_reference(path, _reference_header(p, 0.2, proto), first.values * 2.0)
+        head, blank, payload = path.read_bytes().partition(b"\n\n")
+        lines = head.split(b"\n")
+        lines[1], lines[2] = lines[2], lines[1]
+        path.write_bytes(b"\n".join(lines) + blank + payload)
+        again = reference_solution(p, 0.2, proto, cache_dir=tmp_path)
+        np.testing.assert_array_equal(again.values, first.values)
+
     def test_garbage_file_is_recomputed(self, tmp_path):
         p = small_problem(32)
         proto = ReferenceProtocol(scheme="S2", tau=0.05)
