@@ -144,7 +144,9 @@ def _outputs(command: str, args, cfg: RunConfig) -> tuple[Optional[str], ...]:
                           "converge-space and superres read [output] gnuplot")
     if gnuplot and csv_file is None:
         raise ConfigError("--gnuplot requires --output FILE (the script references the CSV)")
-    written: dict[Path, str] = {}  # resolved path -> which output goes there
+    written: dict[Path, str] = {}  # resolved path -> the output there, or the config read
+    if args.config is not None:
+        written[Path(args.config).resolve()] = "the config file"
     for what, path in (("the CSV", csv_file), ("the gnuplot script", gnuplot),
                        ("the state file", state)):
         if path is None:
@@ -349,7 +351,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_run_args(p):
         p.add_argument("-c", "--config", help="path to a run configuration file")
-        p.add_argument("--workers", type=int, help="override the worker count")
+        p.add_argument("--workers", type=int,
+                       help="override the worker count: the threads that run a study's "
+                            "cells; with 1, solves on 2D M>=256 grids use a second core "
+                            "for their T flows, pool cells never do")
         p.add_argument("--cache-dir", help="override the reference cache directory")
         p.add_argument("-o", "--output", help="data output path ('-' for stdout, the default)")
 

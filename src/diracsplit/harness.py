@@ -491,7 +491,8 @@ def _run_cells(
     a sweep, one tau column of one mode) form a group, which `_solve`
     propagates as one batch; each member's wall_time is an equal share of
     the group's loop time.  With workers > 1 the groups run in a thread
-    pool.  The records keep the order of the cells.
+    pool, whose T flows stay serial (only the main thread splits a flow
+    across the second core).  The records keep the order of the cells.
     """
     groups: dict[tuple, list[int]] = {}
     for index, (problem, tau, n_steps, _) in enumerate(cells):

@@ -15,7 +15,11 @@ the grid, potential and delta and differ only in T.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -31,6 +35,13 @@ __all__ = [
     "apply_T_flow",
     "apply_W_flow",
 ]
+
+# Fewest points per spinor component for which a T flow splits its work with
+# the helper thread.  Measured on a 2-core machine (numpy 2.4.6), one T flow:
+# 16384 points (1D M=16384, 2D M=128) ran as fast split as serial, 25600 (2D
+# M=160) and 32768 (1D M=32768) 20% faster, 65536 (2D M=256) about 2x faster;
+# 4096 (2D M=64, a 1D M=1024 batch of 4) took twice as long split.
+_SPLIT_MIN_POINTS = 1 << 15
 
 
 class SpectralCache:
@@ -57,7 +68,7 @@ class SpectralCache:
     """
 
     __slots__ = ("grid", "params", "phase_scale", "nx", "ny", "nz", "_axes", "_shape",
-                 "_values_shape", "_rotations")
+                 "_values_shape", "_component_size", "_rotations")
 
     def __init__(self, params: PhysParams | Sequence[PhysParams], grid: Grid):
         members = (params,) if isinstance(params, PhysParams) else tuple(params)
@@ -73,6 +84,7 @@ class SpectralCache:
         self._axes = tuple(range(1 + len(batch), 1 + len(batch) + grid.dim))
         self._shape = grid.shape
         self._values_shape = (2, *batch, *grid.shape)
+        self._component_size = math.prod(self._values_shape[1:])
         self._rotations: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
         # Fourier frequencies mu_l = 2 pi l / (b - a) in FFT layout.
@@ -171,6 +183,70 @@ def _check_grids(field: Field, grid: Grid) -> None:
         raise ValueError(f"field grid ({field.grid}) does not match ({grid})")
 
 
+@functools.cache
+def _helper_pool() -> ThreadPoolExecutor:
+    """The one helper thread of the split T flows, started on first use."""
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="diracsplit-T-flow")
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _splits(cache: SpectralCache, values: np.ndarray) -> bool:
+    """Whether a T flow of `values` uses the helper thread.
+
+    Only for a contiguous field whose component has at least
+    _SPLIT_MIN_POINTS points, called from the main thread, with at least
+    two usable CPUs: a study's pool threads (workers > 1) already own the
+    cores, so their flows stay serial.
+    """
+    return (cache._component_size >= _SPLIT_MIN_POINTS
+            and values.flags.c_contiguous
+            and threading.current_thread() is threading.main_thread()
+            and _usable_cpus() >= 2)
+
+
+def _flow_part(x: np.ndarray, axes: tuple[int, ...], shape: tuple[int, ...],
+               u1: np.ndarray, u2: np.ndarray, a: np.ndarray, b: np.ndarray,
+               barrier: Optional[threading.Barrier]) -> None:
+    """One thread's share of a T flow: transform x, mix the modes u1, u2 with
+    the tables a, b, transform x back.
+
+    Serial, x is the whole spinor and (u1, u2) its two components.  Split,
+    x is one component and (u1, u2) a range of both flat spectra, and
+    `barrier` holds each thread until both spectra, then both halves of the
+    mixing, are complete.
+    """
+    try:
+        # An explicit s= skips numpy's per-call shape inference; fftn/ifftn, not fft2/ifft2 (below).
+        np.fft.fftn(x, s=shape, axes=axes, out=x)
+        if barrier is not None:
+            barrier.wait()
+        # new1 = A u1 + B u2 and new2 = conj(A u2* - B u1*), so conj(A) and
+        # conj(B) are never formed.
+        bu2 = b * u2
+        bu1c = np.conjugate(u1)
+        bu1c *= b
+        u1 *= a
+        u1 += bu2
+        np.conjugate(u2, out=u2)
+        u2 *= a
+        u2 -= bu1c
+        np.conjugate(u2, out=u2)
+        if barrier is not None:
+            barrier.wait()
+        # ifftn, not ifft2: numpy 2.4.6's ifft2 drops out=, so ifft2(v, out=v) leaves v untouched.
+        np.fft.ifftn(x, s=shape, axes=axes, out=x)
+    except BaseException:
+        if barrier is not None:
+            barrier.abort()  # release the other thread rather than leave it waiting
+        raise
+
+
 def apply_T_flow(field: Field, ctau: float, cache: SpectralCache) -> Field:
     """Apply e^{c tau T} in place: per-mode rotation e^{-i phi n.sigma}.
 
@@ -180,29 +256,43 @@ def apply_T_flow(field: Field, ctau: float, cache: SpectralCache) -> Field:
     `field` may be a `SpinorBatch` whose members match the cache's.  The
     two temporaries (one component each) belong to the call, never to the
     cache, so one cache can serve several threads.
+
+    Called from the main thread, with at least two usable CPUs, on a
+    component of at least _SPLIT_MIN_POINTS points (2D M=256; not 2D
+    M=128 or the 1D grids of the studies), the flow splits: the main
+    thread transforms component 0 and the helper thread component 1, each
+    mixes half of the flat spectra, and each transforms its component
+    back.  Every value is computed as in the serial flow, so the result
+    is bitwise the same.  A flow on any other thread, such as a study
+    pool's, runs serially.
     """
     _check_grids(field, cache.grid)
     v = field.values
     if v.shape != cache._values_shape:
         raise ValueError(f"field values {v.shape} do not match the cache's {cache._values_shape}")
     a, b = cache.rotation(ctau)
-    axes, shape = cache._axes, cache._shape
-    # An explicit s= skips numpy's per-call shape inference; fftn/ifftn, not fft2/ifft2 (below).
-    np.fft.fftn(v, s=shape, axes=axes, out=v)
-    u1, u2 = v[0], v[1]
-    # new1 = A u1 + B u2 and new2 = conj(A u2* - B u1*), so conj(A) and
-    # conj(B) are never formed.
-    bu2 = b * u2
-    bu1c = np.conjugate(u1)
-    bu1c *= b
-    u1 *= a
-    u1 += bu2
-    np.conjugate(u2, out=u2)
-    u2 *= a
-    u2 -= bu1c
-    np.conjugate(u2, out=u2)
-    # ifftn, not ifft2: numpy 2.4.6's ifft2 drops out=, so ifft2(v, out=v) leaves v untouched.
-    np.fft.ifftn(v, s=shape, axes=axes, out=v)
+    shape = cache._shape
+    if not _splits(cache, v):
+        _flow_part(v, cache._axes, shape, v[0], v[1], a, b, None)
+        return field
+    axes = tuple(axis - 1 for axis in cache._axes)  # the axes of one component
+    flat, a, b = v.reshape(2, -1), a.reshape(-1), b.reshape(-1)
+    n = flat.shape[1]
+    # Split on a multiple of 64 modes, so the vector loops see each half's
+    # elements at the offsets they have in the whole.
+    half = n // 128 * 64
+    barrier = threading.Barrier(2)
+    job = _helper_pool().submit(_flow_part, v[1], axes, shape, flat[0, half:], flat[1, half:],
+                                a[half:], b[half:], barrier)
+    try:
+        _flow_part(v[0], axes, shape, flat[0, :half], flat[1, :half], a[:half], b[:half],
+                   barrier)
+    except threading.BrokenBarrierError:
+        pass  # the helper's share failed; its error is raised below
+    finally:
+        error = job.exception()
+    if error is not None:
+        raise error
     return field
 
 

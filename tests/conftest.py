@@ -1,5 +1,7 @@
 """Shared fixtures: small grids, fields and a per-session cache directory."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,23 @@ def rng():
 @pytest.fixture
 def cache_dir(tmp_path):
     return tmp_path / "refcache"
+
+
+@pytest.fixture
+def helper_jobs(monkeypatch):
+    """The names of the threads that hand a split T flow's share to the helper."""
+    from diracsplit import spectral
+
+    jobs = []
+    pool = spectral._helper_pool
+
+    class Counting:
+        def submit(self, *args, **kwargs):
+            jobs.append(threading.current_thread().name)
+            return pool().submit(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "_helper_pool", Counting)
+    return jobs
 
 
 def random_field(grid, rng):

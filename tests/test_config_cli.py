@@ -394,6 +394,44 @@ class TestCliOutputPaths:
         assert captured.out == ""
 
     @pytest.mark.parametrize("command, outputs, keys", [
+        ("solve", ["-o", "{cfg}"], ""),
+        ("solve", ["--state-out", "{cfg}"], ""),
+        ("converge-time", ["-o", "{cfg}"], ""),
+        ("converge-time", ["-o", "{tmp}/t.csv", "--gnuplot", "{cfg}"], ""),
+        ("converge-space", ["-o", "{tmp}/out/../run.cfg"], ""),
+        ("superres", [], "[output]\ncsv = {cfg}\n"),
+    ], ids=["solve-output", "solve-state", "time-csv", "time-gnuplot", "space-csv-dotdot",
+            "superres-csv-key"])
+    def test_config_file_is_never_an_output(
+        self, command, outputs, keys, capsys, tmp_path, monkeypatch
+    ):
+        solves = []
+        original = harness._solve
+
+        def counting(*args):
+            solves.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(harness, "_solve", counting)
+        monkeypatch.setattr(cli, "_solve", counting)
+        monkeypatch.chdir(tmp_path)  # -c names the file relative, the outputs absolute
+        refs, cfg = tmp_path / "refs", tmp_path / "run.cfg"
+        (tmp_path / "out").mkdir()
+        text = {"solve": self.SOLVE, "superres": self.SWEEP}.get(command, SMALL_STUDY)
+        text = text.format(cache=refs, missing=tmp_path) + keys.format(cfg=cfg)
+        if command == "superres":
+            text = text.replace(f"csv = {tmp_path}/sweep.csv\n", "")
+        write_config(tmp_path, text)
+        argv = [arg.format(tmp=tmp_path, cfg=cfg) for arg in outputs]
+        assert main([command, "-c", "run.cfg", *argv]) == 1
+        assert solves == []
+        assert not refs.exists()
+        assert cfg.read_text(encoding="utf-8") == text
+        captured = capsys.readouterr()
+        assert "cannot write" in captured.err and "the config file" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command, outputs, keys", [
         ("converge-time", ["-o", "{dir}"], ""),
         ("converge-time", [], "[output]\ncsv = {dir}\n"),
         ("converge-time", ["-o", "{tmp}/t.csv", "--gnuplot", "{dir}"], ""),

@@ -501,6 +501,21 @@ class TestTemporalConvergence:
         assert propagated == [tau, 2 * tau]
         assert all(d > 0.0 for d in study.self_distance)
 
+    def test_pool_cells_leave_the_helper_thread_alone(self, tmp_path, helper_jobs):
+        # At 2D M=256 a T flow on the main thread splits across the helper;
+        # with workers=2 the study pool owns both cores, so its cells must not.
+        problem = honeycomb_problem("constant", M=256)
+        taus, protocol = (0.1, 0.05, 0.025), ReferenceProtocol(scheme="S2", tau=0.003125)
+        serial = temporal_convergence("S2", taus, problem, 0.1, protocol, cache_dir=tmp_path)
+        assert len(helper_jobs) > 0  # the references and the serial cells split
+        helper_jobs.clear()
+        pooled = temporal_convergence("S2", taus, problem, 0.1, protocol, cache_dir=tmp_path,
+                                      workers=2)
+        assert helper_jobs == []  # the references are read from the cache
+        assert [dataclasses.replace(r, wall_time=0.0) for r in pooled.records] == [
+            dataclasses.replace(r, wall_time=0.0) for r in serial.records]
+        assert pooled.self_distance == serial.self_distance
+
     def test_needs_three_step_sizes(self, tmp_path):
         with pytest.raises(ValueError, match="at least 3"):
             temporal_convergence(

@@ -23,6 +23,7 @@ from diracsplit.model import (
     rational_potential_1d,
 )
 from diracsplit import spectral
+from diracsplit.schemes import Propagator, catalog
 from diracsplit.spectral import (
     WFlowCache,
     _unit_phase,
@@ -310,6 +311,31 @@ class TestTFlowFastPath:
             np.testing.assert_array_equal(got.values, want.values)
 
 
+def recording_np(monkeypatch, fail_on=None):
+    """Put a proxy in place of spectral.np that records each transform as
+    (name, input shape, axes, s, thread name); a transform on the thread
+    named `fail_on` raises instead."""
+    calls = []
+
+    def recorded(name):
+        fn = getattr(np.fft, name)
+
+        def call(a, *args, **kwargs):
+            thread = threading.current_thread().name
+            calls.append((name, np.shape(a), tuple(kwargs["axes"]), tuple(kwargs["s"]), thread))
+            if thread == fail_on:
+                raise RuntimeError(f"{name} failed on {thread}")
+            return fn(a, *args, **kwargs)
+
+        return call
+
+    proxy = types.ModuleType("numpy")
+    proxy.__dict__.update(np.__dict__)
+    proxy.fft = types.SimpleNamespace(fftn=recorded("fftn"), ifftn=recorded("ifftn"))
+    monkeypatch.setattr(spectral, "np", proxy)
+    return calls
+
+
 def shapeless_T_flow(field, ctau, cache):
     """The in-place flow with the transform shape left to numpy to infer.
 
@@ -353,29 +379,11 @@ class TestTFlowCallForm:
         grid = make_grid(dim, -8.0, 8.0, M)
         cache = build_cache(PhysParams(), grid)
         f = random_field(grid, rng)
-        calls = []
-
-        def recorded(name):
-            fn = getattr(np.fft, name)
-
-            def call(a, *args, **kwargs):
-                calls.append((name, kwargs.get("s"), kwargs.get("axes")))
-                return fn(a, *args, **kwargs)
-
-            return call
-
-        fft = types.SimpleNamespace(fftn=recorded("fftn"), ifftn=recorded("ifftn"))
-        proxy = types.ModuleType("numpy")
-        proxy.__dict__.update(np.__dict__)
-        proxy.fft = fft
-        monkeypatch.setattr(spectral, "np", proxy)
+        calls = recording_np(monkeypatch)
         for ctau in (0.2, -0.1, 0.2):
             apply_T_flow(f, ctau, cache)
-        axes = tuple(range(1, 1 + dim))
-        assert [name for name, _, _ in calls] == ["fftn", "ifftn"] * 3
-        for _, s, ax in calls:
-            assert s is not None and tuple(s) == grid.shape
-            assert tuple(ax) == axes
+        spinor = ((2, *grid.shape), tuple(range(1, 1 + dim)), grid.shape)
+        assert [c[:4] for c in calls] == [("fftn", *spinor), ("ifftn", *spinor)] * 3
 
     def test_equal_grid_object_is_accepted(self, grid1d, params, rng):
         twin = replace(grid1d)
@@ -559,3 +567,154 @@ class TestBatchedTFlow:
         for got, f in zip(batch.members(), fields):
             want = apply_W_flow(f, 0.4, 0.0, p, params, wcache)
             np.testing.assert_array_equal(got.values, want.values)
+
+
+def on_worker_thread(fn):
+    """fn() run on a thread that is not the main thread, so its T flows stay serial."""
+    out = []
+    worker = threading.Thread(target=lambda: out.append(fn()))
+    worker.start()
+    worker.join(timeout=300)
+    assert not worker.is_alive() and len(out) == 1
+    return out[0]
+
+
+GRID_256 = make_grid(2, -8.0, 8.0, 256)
+SPLIT_CTAUS = (0.3, -0.1, 250.0, 1.0 / 64.0)
+
+
+class TestSplitTFlow:
+    """A 2D M=256 flow on the main thread splits across the helper thread and
+    equals, bit for bit, the serial flow that any other thread runs."""
+
+    def test_single_field_equals_serial_flow(self, rng, helper_jobs):
+        cache = build_cache(PhysParams(delta=0.7, nu=0.9, epsilon=0.6), GRID_256)
+        f = random_field(GRID_256, rng)
+
+        def flows():
+            g = f.copy()
+            for ctau in SPLIT_CTAUS:
+                apply_T_flow(g, ctau, cache)
+            return g
+
+        split = flows()
+        assert helper_jobs == ["MainThread"] * len(SPLIT_CTAUS)
+        serial = on_worker_thread(flows)
+        assert len(helper_jobs) == len(SPLIT_CTAUS)
+        np.testing.assert_array_equal(split.values, serial.values)
+        assert abs(mass(split) - mass(f)) / mass(f) <= 1e-12
+
+    def test_batch_equals_serial_flow(self, rng, helper_jobs):
+        members = [PhysParams(epsilon=e) for e in (1.0, 0.5)]
+        cache = build_cache(members, GRID_256)
+        fields = [random_field(GRID_256, rng) for _ in members]
+
+        def flows():
+            batch = SpinorBatch(fields)
+            for ctau in SPLIT_CTAUS:
+                apply_T_flow(batch, ctau, cache)
+            return batch
+
+        split = flows()
+        assert len(helper_jobs) == len(SPLIT_CTAUS)
+        serial = on_worker_thread(flows)
+        np.testing.assert_array_equal(split.values, serial.values)
+        for got, f in zip(split.members(), fields):
+            assert abs(mass(got) - mass(f)) / mass(f) <= 1e-12
+
+    @pytest.mark.parametrize("theta", ["constant", "linear"])
+    def test_s6c_run_equals_serial_run(self, theta, helper_jobs):
+        params = PhysParams(delta=1.0, nu=1.0, epsilon=1.0)
+        start = gaussian_ic(GRID_256, ((0.0, 0.0), (1.0, 0.0)))
+        potential = honeycomb_potential(theta)
+
+        def run():
+            propagator = Propagator(catalog("S6c"), 0.05, potential, build_cache(params, GRID_256))
+            return propagator.run(start.copy(), 0.0, 4)
+
+        split = run()
+        assert len(helper_jobs) == 4 * 4  # S6c has four T flows per step
+        serial = on_worker_thread(run)
+        np.testing.assert_array_equal(split.values, serial.values)
+        assert abs(mass(split) - mass(start)) / mass(start) <= 1e-12
+
+    def test_transforms_go_per_component_through_spectral_np(self, rng, monkeypatch):
+        cache = build_cache(PhysParams(), GRID_256)
+        f = random_field(GRID_256, rng)
+        calls = recording_np(monkeypatch)
+        apply_T_flow(f, 0.2, cache)
+        component = (GRID_256.shape, (0, 1), GRID_256.shape)
+        assert sorted(c[:4] for c in calls) == [("fftn", *component)] * 2 + [("ifftn", *component)] * 2
+        assert sorted(c[4] for c in calls) == ["MainThread"] * 2 + ["diracsplit-T-flow_0"] * 2
+        calls.clear()
+        on_worker_thread(lambda: apply_T_flow(f, 0.2, cache))
+        spinor = ((2, *GRID_256.shape), (1, 2), GRID_256.shape)
+        assert [c[:4] for c in calls] == [("fftn", *spinor), ("ifftn", *spinor)]
+
+    @pytest.mark.parametrize("dim, M, k", [(1, 512, 1), (1, 1024, 1), (1, 1024, 4), (2, 32, 1),
+                                           (2, 64, 1), (2, 128, 1), (1, 1024, 8)])
+    def test_small_components_never_split(self, dim, M, k, rng, helper_jobs):
+        grid = make_grid(dim, -8.0, 8.0, M)
+        members = [PhysParams(epsilon=1.0 / (i + 1)) for i in range(k)]
+        cache = build_cache(members, grid)
+        fields = [random_field(grid, rng) for _ in members]
+        batch = SpinorBatch(fields)
+        for ctau in SPLIT_CTAUS:
+            apply_T_flow(batch, ctau, cache)
+        assert helper_jobs == []
+
+    def test_one_usable_cpu_never_splits(self, rng, helper_jobs, monkeypatch):
+        monkeypatch.setattr(spectral, "_usable_cpus", lambda: 1)
+        apply_T_flow(random_field(GRID_256, rng), 0.2, build_cache(PhysParams(), GRID_256))
+        assert helper_jobs == []
+
+    def test_split_flows_beside_pool_threads_match_serial(self, rng, helper_jobs):
+        # More threads than cores and a short switch interval: the main
+        # thread's split flows and three threads' serial flows share one
+        # cache, and each field must come out as its serial run.
+        cache = build_cache(PhysParams(delta=0.7, nu=0.9, epsilon=0.6), GRID_256)
+        starts = [random_field(GRID_256, rng) for _ in range(4)]
+
+        def flows(f):
+            g = f.copy()
+            for ctau in SPLIT_CTAUS:
+                apply_T_flow(g, ctau, cache)
+            return g
+
+        serial = [on_worker_thread(lambda f=f: flows(f)) for f in starts]
+        results = [None] * len(starts)
+        barrier = threading.Barrier(len(starts))
+
+        def run(k):
+            barrier.wait(timeout=30)
+            for _ in range(3):
+                results[k] = flows(starts[k])
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(1, len(starts))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            run(0)
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert helper_jobs == ["MainThread"] * 3 * len(SPLIT_CTAUS)
+        for got, want in zip(results, serial):
+            np.testing.assert_array_equal(got.values, want.values)
+
+    @pytest.mark.parametrize("fail_on", ["MainThread", "diracsplit-T-flow_0"])
+    def test_a_failing_share_raises_and_the_next_flow_runs(self, fail_on, rng, monkeypatch):
+        cache = build_cache(PhysParams(), GRID_256)
+        f = random_field(GRID_256, rng)
+        want = on_worker_thread(lambda: apply_T_flow(f.copy(), 0.2, cache))
+        apply_T_flow(f.copy(), 0.2, cache)  # the helper thread exists and has its name
+        with monkeypatch.context() as patch:
+            recording_np(patch, fail_on=fail_on)
+            with pytest.raises(RuntimeError, match=f"fftn failed on {fail_on}"):
+                apply_T_flow(f.copy(), 0.2, cache)
+        got = apply_T_flow(f.copy(), 0.2, cache)
+        np.testing.assert_array_equal(got.values, want.values)
