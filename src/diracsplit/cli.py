@@ -27,6 +27,7 @@ from .harness import (
     _solve,
     _steps_for_span,
     _write_reference,
+    resolve_cache_dir,
     spatial_convergence,
     superres_sweep,
     temporal_convergence,
@@ -131,8 +132,8 @@ def _outputs(command: str, args, cfg: RunConfig) -> tuple[Optional[str], ...]:
     CSV and no file for the others.
 
     A flag wins over its key (`--gnuplot ""` turns the plot off).  Every
-    setting that would fail a write or put two outputs on one file is
-    rejected here, before any computation.
+    setting that would fail a write or put two outputs (a study's reference
+    cache directory included) on one file is rejected here, before any work.
     """
     csv = args.output if args.output is not None else cfg.csv_path
     flag = getattr(args, "gnuplot", None)
@@ -147,6 +148,12 @@ def _outputs(command: str, args, cfg: RunConfig) -> tuple[Optional[str], ...]:
     written: dict[Path, str] = {}  # resolved path -> the output there, or the config read
     if args.config is not None:
         written[Path(args.config).resolve()] = "the config file"
+    if command != "solve":
+        cache_dir = resolve_cache_dir(cfg.cache_dir)
+        if cache_dir.resolve() in written:
+            raise ConfigError(f"cannot use {cache_dir} as the reference cache directory: "
+                              "it is the config file")
+        written[cache_dir.resolve()] = "the reference cache directory"
     for what, path in (("the CSV", csv_file), ("the gnuplot script", gnuplot),
                        ("the state file", state)):
         if path is None:

@@ -231,10 +231,6 @@ _BY_SECTION_KEY = {(meta["section"], meta["key"]): name for name, meta in _SCHEM
 _SECTION_ORDER = tuple(dict.fromkeys(meta["section"] for meta in _SCHEMA.values()))
 
 
-def default_config() -> RunConfig:
-    return RunConfig()
-
-
 # ---------------------------------------------------------------------------
 # parsing
 

@@ -37,7 +37,7 @@ from .model import (
     rational_potential_1d,
 )
 from .schemes import Propagator, catalog, check_n_steps
-from .spectral import build_cache
+from .spectral import build_cache  # a module global: the benchmark's tracer wraps it
 
 CACHE_ENV_VAR = "DIRACSPLIT_CACHE"
 DEFAULT_CACHE_DIR = ".diracsplit-cache"

@@ -1,9 +1,10 @@
-"""Splitting-scheme catalog and step-program execution.
+"""Splitting-scheme catalog and the one interpreter of its step programs.
 
 A scheme is an ordered program of exponential steps; each step applies
 e^{c tau T} or e^{c tau W(t_n + f tau)}.  Programs are stored left to right
 as the factors appear in the operator product and executed right to left
-(the rightmost factor acts on the field first).
+(the rightmost factor acts on the field first).  `Propagator`, the one
+way to run a program, flattens it into flows at a checked tau.
 
 The catalog covers:
 
@@ -39,8 +40,6 @@ __all__ = [
     "CATALOG_NAMES",
     "catalog",
     "op_count",
-    "step",
-    "evolve",
     "Propagator",
     "check_n_steps",
     "load_constants",
@@ -267,34 +266,11 @@ def check_n_steps(n_steps: int) -> int:
     return int(n_steps)
 
 
-def step(
-    field: Field,
-    tau: float,
-    t_n: float,
-    spec: SchemeSpec,
-    potential: Potential,
-    cache: SpectralCache,
-    wcache: Optional[WFlowCache] = None,
-) -> Field:
-    """Advance the field (or batch) by one step of `spec` from time t_n, in place.
-
-    tau may be negative (the scheme runs backward, which inverts symmetric
-    schemes exactly); only tau == 0 or non-finite tau is rejected.
-    """
-    tau = float(tau)
-    if not math.isfinite(tau) or tau == 0.0:
-        raise ValueError(f"tau must be finite and nonzero, got {tau!r}")
-    for s in reversed(spec.steps):
-        if s.op_kind == "T":
-            apply_T_flow(field, s.coeff * tau, cache)
-        else:
-            apply_W_flow(field, s.coeff * tau, t_n + s.time_offset * tau,
-                         potential, cache.params, wcache)
-    return field
-
-
 class Propagator:
-    """The flow tables of one solve: `spec` at step tau on one problem.
+    """The one interpreter of a step program: `spec` at step tau on one problem.
+
+    Construction checks tau (finite and nonzero; negative runs backward) and
+    lists `_flows` in execution order: kind, c*tau and W time offset f*tau.
 
     The spectral cache carries the T rotations for its (params, grid); a
     time-independent potential adds a W phase table built here from the
@@ -303,11 +279,13 @@ class Propagator:
     one W table for all its members.
     """
 
-    __slots__ = ("spec", "tau", "potential", "cache", "wcache")
+    __slots__ = ("tau", "potential", "cache", "wcache", "_flows")
 
     def __init__(self, spec: SchemeSpec, tau: float, potential: Potential,
                  cache: SpectralCache):
-        self.spec = spec
+        tau = float(tau)
+        if not math.isfinite(tau) or tau == 0.0:
+            raise ValueError(f"tau must be finite and nonzero, got {tau!r}")
         self.tau = tau
         self.potential = potential
         self.cache = cache
@@ -316,13 +294,27 @@ class Propagator:
             if potential.time_independent
             else None
         )
+        self._flows = tuple((s.op_kind, s.coeff * tau, s.time_offset * tau)
+                            for s in reversed(spec.steps))
 
     def run(self, field: Field, t0: float, n_steps: int) -> Field:
         """Apply `n_steps` scheme steps in place, step n starting at t0 + n*tau."""
         for n in range(check_n_steps(n_steps)):
-            step(field, self.tau, t0 + n * self.tau, self.spec, self.potential,
-                 self.cache, self.wcache)
+            step(self, field, t0 + n * self.tau)
         return field
+
+
+def step(propagator: Propagator, field: Field, t_n: float) -> Field:
+    """One step of `propagator`'s flows on the field (or batch), in place, from t_n.
+
+    A module global: the benchmark's tracer wraps it to count steps."""
+    cache, wcache, potential = propagator.cache, propagator.wcache, propagator.potential
+    for kind, ctau, offset in propagator._flows:
+        if kind == "T":
+            apply_T_flow(field, ctau, cache)
+        else:
+            apply_W_flow(field, ctau, t_n + offset, potential, cache.params, wcache)
+    return field
 
 
 def evolve(
@@ -334,5 +326,7 @@ def evolve(
     potential: Potential,
     cache: SpectralCache,
 ) -> SpinorField:
-    """Apply `n_steps` scheme steps from t0, advancing t by tau each step."""
+    """Apply `n_steps` scheme steps from t0, advancing t by tau each step.
+
+    Not exported: only the benchmark's warm-up and self-test still call it."""
     return Propagator(spec, tau, potential, cache).run(field, t0, n_steps)

@@ -31,7 +31,6 @@ Field = SpinorField | SpinorBatch
 __all__ = [
     "SpectralCache",
     "WFlowCache",
-    "build_cache",
     "apply_T_flow",
     "apply_W_flow",
 ]
@@ -135,7 +134,9 @@ class SpectralCache:
 
 
 def build_cache(params: PhysParams | Sequence[PhysParams], grid: Grid) -> SpectralCache:
-    """Precompute the per-mode data of T for `grid` under `params` (one or a batch)."""
+    """Precompute the per-mode data of T for `grid` under `params` (one or a batch).
+
+    Not exported: the benchmark's warm-up, self-test and tracer still use it."""
     return SpectralCache(params, grid)
 
 

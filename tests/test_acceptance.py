@@ -46,8 +46,8 @@ from diracsplit.lie import (
     vanishing_commutators,
 )
 from diracsplit.model import PhysParams, make_grid, mass
-from diracsplit.schemes import CATALOG_NAMES, catalog, evolve, op_count
-from diracsplit.spectral import apply_T_flow, build_cache
+from diracsplit.schemes import CATALOG_NAMES, catalog, op_count
+from diracsplit.spectral import SpectralCache, apply_T_flow
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -145,7 +145,7 @@ def test_criterion_04_propagator_oracle():
     worst = 0.0
     for M in (4, 8, 16):
         grid = make_grid(1, -2.0, 2.0, M)
-        cache = build_cache(params, grid)
+        cache = SpectralCache(params, grid)
         dense = dense_T_matrix(params, grid)
         fields = [random_field(grid, rng) for _ in range(50)]
         for ctau in rng.uniform(-2.0, 2.0, size=10):
@@ -229,13 +229,12 @@ def test_criterion_06_spatial_accuracy(acc_cache):
 
 def test_criterion_07_mass_conservation():
     problem = gaussian_problem_1d()
-    cache = build_cache(problem.params, problem.grid)
     start = time.perf_counter()
     drifts = {}
     for name in CATALOG_NAMES:
         field = problem.initial.copy()
         m0 = mass(field)
-        evolve(field, 1e-3, 0.0, 1000, catalog(name), problem.potential, cache)
+        problem.propagator(name, 1e-3).run(field, 0.0, 1000)
         drifts[name] = relative_mass_drift(field, m0)
     elapsed = time.perf_counter() - start
     worst = max(drifts.values())

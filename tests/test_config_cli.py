@@ -12,7 +12,7 @@ import pytest
 
 from diracsplit import cli, harness
 from diracsplit.cli import CSV_COLUMNS, _gnuplot_script, main
-from diracsplit.config import ConfigError, RunConfig, default_config, parse_config
+from diracsplit.config import ConfigError, RunConfig, parse_config
 from diracsplit.harness import (
     CACHE_ENV_VAR,
     DEFAULT_CACHE_DIR,
@@ -29,7 +29,7 @@ from diracsplit.model import mass
 
 class TestConfigDefaults:
     def test_default_values(self):
-        cfg = default_config()
+        cfg = RunConfig()
         assert cfg.dim == 1
         assert cfg.M == 512
         assert (cfg.a, cfg.b) == (-16.0, 16.0)
@@ -40,25 +40,25 @@ class TestConfigDefaults:
         assert cfg.csv_path == "-"
 
     def test_empty_text_parses_to_defaults(self):
-        assert parse_config("") == default_config()
+        assert parse_config("") == RunConfig()
 
     def test_round_trip_is_a_fixed_point(self):
-        cfg = default_config()
+        cfg = RunConfig()
         assert parse_config(cfg.to_text()) == cfg
         # and the echo of the echo is byte-identical
         assert parse_config(cfg.to_text()).to_text() == cfg.to_text()
 
     def test_round_trip_survives_awkward_floats(self):
-        cfg = replace(default_config(), tau=0.1 + 2e-17, epsilon=1.0 / 3.0)
+        cfg = replace(RunConfig(), tau=0.1 + 2e-17, epsilon=1.0 / 3.0)
         again = parse_config(cfg.to_text())
         assert again.tau == cfg.tau
         assert again.epsilon == cfg.epsilon
 
     def test_content_hash_tracks_content(self):
-        cfg = default_config()
+        cfg = RunConfig()
         h = cfg.content_hash()
         assert len(h) == 64 and set(h) <= set("0123456789abcdef")
-        assert h == default_config().content_hash()
+        assert h == RunConfig().content_hash()
         assert h != replace(cfg, M=256).content_hash()
 
     def test_comments_and_blanks_ignored(self):
@@ -67,7 +67,7 @@ class TestConfigDefaults:
 
     def test_default_echo_is_pinned(self):
         # every CSV carries this echo and hash; key order is part of both
-        cfg = default_config()
+        cfg = RunConfig()
         keys = [line.partition(" = ")[0] for line in cfg.to_text().splitlines() if line]
         assert keys == [
             "[model]", "dim", "delta", "nu", "epsilon", "a", "b", "M",
@@ -165,20 +165,20 @@ class TestConfigParsing:
 
 class TestDerivedObjects:
     def test_default_problem(self):
-        p = default_config().problem()
+        p = RunConfig().problem()
         assert p.grid.dim == 1 and p.grid.M == 512
         assert p.potential.time_independent
         assert math.isclose(mass(p.initial), 2.0 * math.sqrt(math.pi), rel_tol=1e-12)
 
     def test_default_problem_is_the_1d_benchmark(self):
         # the config's 1-tuple centers give the benchmark's initial data bitwise
-        p = default_config().problem()
+        p = RunConfig().problem()
         assert p.initial.values.tobytes() == gaussian_problem_1d().initial.values.tobytes()
         assert p.initial_digest() == (
             "71840dcd1abcb3bef32d901b1bfef898bd406a9eaca2d987b03e88f89a44a228")
 
     def test_problem_with_epsilon_override(self):
-        cfg = default_config()
+        cfg = RunConfig()
         p = cfg.problem(epsilon=0.25)
         assert p.params.epsilon == 0.25
         assert cfg.epsilon == 1.0
@@ -210,7 +210,7 @@ class TestDerivedObjects:
 
     def test_empty_cache_dir_means_unset(self, monkeypatch, tmp_path):
         # the default cache_dir = "" falls through to the variable, then the default
-        cache_dir = default_config().cache_dir
+        cache_dir = RunConfig().cache_dir
         assert cache_dir == ""
         monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "envcache"))
         assert resolve_cache_dir(cache_dir) == tmp_path / "envcache"
@@ -340,6 +340,19 @@ class TestCliSolve:
         assert excinfo.value.code == 2
         assert "--gnuplot" in capsys.readouterr().err
 
+    def test_numerical_failure_exits_2(self, capsys, tmp_path, monkeypatch):
+        def blow_up(*args):
+            raise FloatingPointError("spinor field contains non-finite entries")
+
+        monkeypatch.setattr(cli, "_solve", blow_up)
+        out = tmp_path / "out.txt"
+        cfg = write_config(tmp_path, "[model]\nM = 32\n[run]\ntau = 0.05\nt_final = 0.25\n")
+        assert main(["solve", "-c", str(cfg), "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "numerical failure: spinor field contains non-finite entries" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_solve_rejects_the_gnuplot_key(self, capsys, tmp_path):
         out = tmp_path / "out.txt"
         cfg = write_config(tmp_path, "[model]\nM = 32\n[run]\ntau = 0.05\nt_final = 0.25\n"
@@ -466,6 +479,43 @@ class TestCliOutputPaths:
         assert kept.read_text(encoding="utf-8") == "keep\n"
         captured = capsys.readouterr()
         assert "cannot write" in captured.err
+        assert captured.out == ""
+
+    # The cache directory comes from --cache-dir, the [run] cache_dir key or
+    # $DIRACSPLIT_CACHE, in that order; a study creates it and fills it
+    # with references, so it can be neither an output nor the config file.
+    @pytest.mark.parametrize("command, outputs, key, env", [
+        ("converge-time", ["-o", "{tmp}/out.csv", "--cache-dir", "out.csv"], "{tmp}/refs", ""),
+        ("converge-time", ["-o", "{tmp}/t.csv", "--gnuplot", "plot.gp"], "{tmp}/plot.gp", ""),
+        ("converge-space", ["-o", "{tmp}/s.csv"], "", "{tmp}/s.csv"),
+        ("converge-time", ["-o", "{tmp}/t.csv", "--cache-dir", "{cfg}"], "{tmp}/refs", ""),
+        ("superres", [], "", "run.cfg"),
+    ], ids=["csv-is-cache-flag", "gnuplot-is-cache-key", "csv-is-cache-env",
+            "config-is-cache-flag", "config-is-cache-env"])
+    def test_reference_cache_directory_is_never_an_output(
+        self, command, outputs, key, env, capsys, tmp_path, monkeypatch
+    ):
+        solves = []
+        original = harness._solve
+
+        def counting(*args):
+            solves.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(harness, "_solve", counting)
+        monkeypatch.setattr(cli, "_solve", counting)
+        monkeypatch.chdir(tmp_path)
+        names = {"tmp": tmp_path, "cfg": tmp_path / "run.cfg"}
+        monkeypatch.setenv(CACHE_ENV_VAR, env.format(**names))
+        text = self.SWEEP if command == "superres" else SMALL_STUDY
+        cfg = write_config(tmp_path, text.format(cache=key.format(**names), missing=tmp_path))
+        before = sorted(tmp_path.rglob("*"))
+        argv = [arg.format(**names) for arg in outputs]
+        assert main([command, "-c", str(cfg), *argv]) == 1
+        assert solves == []
+        assert sorted(tmp_path.rglob("*")) == before
+        captured = capsys.readouterr()
+        assert "the reference cache directory" in captured.err
         assert captured.out == ""
 
 

@@ -835,3 +835,18 @@ class TestMonitoring:
     def test_per_step_time_rejects_bad_counts(self):
         with pytest.raises(ValueError, match="positive"):
             per_step_time("S2", small_problem(32), 0.05, n_steps=0)
+
+
+def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
+    # The README's library example runs as printed and writes its reference
+    # into $DIRACSPLIT_CACHE, not into the working directory.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    after = readme.split("## Library quick start", 1)[1]
+    block = after.split("```python\n", 1)[1].split("```\n", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "refs"))
+    exec(compile(block, "README.md quick start", "exec"), {})
+    conserved, order = (float(x) for x in capsys.readouterr().out.split())
+    assert conserved == pytest.approx(mass(gaussian_problem_1d().initial), rel=1e-12)
+    assert 5.5 <= order <= 6.5
+    assert {p.parent for p in tmp_path.rglob("*") if p.is_file()} == {tmp_path / "refs"}

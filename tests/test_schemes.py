@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from diracsplit.harness import gaussian_problem_1d
 from diracsplit.model import (
     PhysParams,
     SpinorBatch,
@@ -24,9 +25,8 @@ from diracsplit.schemes import (
     evolve,
     load_constants,
     op_count,
-    step,
 )
-from diracsplit.spectral import WFlowCache, build_cache
+from diracsplit.spectral import SpectralCache, WFlowCache, apply_T_flow, apply_W_flow
 
 from conftest import random_field
 
@@ -146,73 +146,94 @@ class TestCatalog:
             1.0 / (2.0 - 2.0 ** (1.0 / 3.0)), abs=1e-15)
 
 
+def plain_step(field, tau, t_n, spec, potential, cache, wcache=None):
+    """One step read straight off `spec.steps`, right to left: the plain
+    interpreter that `Propagator`'s flow list must match bitwise."""
+    for s in reversed(spec.steps):
+        if s.op_kind == "T":
+            apply_T_flow(field, s.coeff * tau, cache)
+        else:
+            apply_W_flow(field, s.coeff * tau, t_n + s.time_offset * tau, potential,
+                         cache.params, wcache)
+    return field
+
+
 class TestStepping:
     def test_step_rejects_zero_or_nonfinite_tau(self, grid1d, params, rng):
-        cache = build_cache(params, grid1d)
+        # tau is checked once, when the flows are built, so a run of no
+        # steps rejects it too.
+        cache = SpectralCache(params, grid1d)
+        problem = gaussian_problem_1d()
         f = random_field(grid1d, rng)
-        for bad in (0.0, float("nan"), float("inf")):
-            with pytest.raises(ValueError):
-                step(f, bad, 0.0, catalog("S2"), zero_potential(), cache)
+        before = f.values.copy()
+        for bad in (0.0, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="tau must be finite and nonzero"):
+                Propagator(catalog("S2"), bad, zero_potential(), cache)
+            with pytest.raises(ValueError, match="tau must be finite and nonzero"):
+                problem.propagator("S6c", bad)
+            with pytest.raises(ValueError, match="tau must be finite and nonzero"):
+                evolve(f, bad, 0.0, 0, catalog("S2"), zero_potential(), cache)
+        np.testing.assert_array_equal(f.values, before)
 
     def test_negative_tau_inverts_symmetric_step(self, grid1d, params, rng):
         # Symmetric compositions of exact flows are time reversible:
         # S(-tau) S(tau) = identity for a time-independent potential.
-        cache = build_cache(params, grid1d)
+        cache = SpectralCache(params, grid1d)
         p = rational_potential_1d()
         for name in ("S2", "S4", "S6c"):
             spec = catalog(name)
             f = random_field(grid1d, rng)
             g = f.copy()
-            step(g, 0.21, 0.0, spec, p, cache)
-            step(g, -0.21, 0.0, spec, p, cache)
+            Propagator(spec, 0.21, p, cache).run(g, 0.0, 1)
+            Propagator(spec, -0.21, p, cache).run(g, 0.0, 1)
             np.testing.assert_allclose(g.values, f.values, atol=1e-12)
 
     def test_evolve_equals_repeated_step(self, grid2d, rng):
         params = PhysParams()
-        cache = build_cache(params, grid2d)
+        cache = SpectralCache(params, grid2d)
         p = honeycomb_potential("linear")
         f = random_field(grid2d, rng)
-        spec = catalog("S2")
-        by_evolve = f.copy()
-        evolve(by_evolve, 0.05, 0.3, 3, spec, p, cache)
+        propagator = Propagator(catalog("S2"), 0.05, p, cache)
+        by_run = propagator.run(f.copy(), 0.3, 3)
         by_steps = f.copy()
         for k in range(3):
-            step(by_steps, 0.05, 0.3 + 0.05 * k, spec, p, cache)
-        np.testing.assert_array_equal(by_evolve.values, by_steps.values)
+            propagator.run(by_steps, 0.3 + 0.05 * k, 1)
+        np.testing.assert_array_equal(by_run.values, by_steps.values)
 
     def test_time_dependent_offset_matters(self, grid2d, params, rng):
         # With a time-dependent potential, starting the same step at two
         # different t_n must give different results; this guards against
         # dropping the t_n + f*tau evaluation rule.
-        cache = build_cache(params, grid2d)
-        p = honeycomb_potential("cosine")
+        propagator = Propagator(catalog("S2"), 0.1, honeycomb_potential("cosine"),
+                                SpectralCache(params, grid2d))
         f = random_field(grid2d, rng)
-        a = step(f.copy(), 0.1, 0.0, catalog("S2"), p, cache)
-        b = step(f.copy(), 0.1, 0.3, catalog("S2"), p, cache)
+        a = propagator.run(f.copy(), 0.0, 1)
+        b = propagator.run(f.copy(), 0.3, 1)
         assert np.max(np.abs(a.values - b.values)) > 1e-6
 
     @pytest.mark.parametrize("name", CATALOG_NAMES)
     def test_mass_conserved_50_steps(self, name, grid1d, params):
         f = gaussian_ic(grid1d, (0.0, 1.0))
         m0 = mass(f)
-        evolve(f, 0.02, 0.0, 50, catalog(name), rational_potential_1d(),
-               build_cache(params, grid1d))
+        Propagator(catalog(name), 0.02, rational_potential_1d(),
+                   SpectralCache(params, grid1d)).run(f, 0.0, 50)
         assert abs(mass(f) - m0) / m0 < 1e-13
 
     def test_evolve_step_count_validation(self, grid1d, params, rng):
         f = random_field(grid1d, rng)
-        cache = build_cache(params, grid1d)
+        propagator = Propagator(catalog("S2"), 0.1, zero_potential(),
+                                SpectralCache(params, grid1d))
         before = f.values.copy()
-        evolve(f, 0.1, 0.0, 0, catalog("S2"), zero_potential(), cache)
+        propagator.run(f, 0.0, 0)
         np.testing.assert_array_equal(f.values, before)
         with pytest.raises(ValueError):
-            evolve(f, 0.1, 0.0, -1, catalog("S2"), zero_potential(), cache)
+            propagator.run(f, 0.0, -1)
 
-    # One S6c step (tau = 0.1, M = 64) with either foreign table puts the
-    # field 0.062 (other potential) or 0.107 (other delta) off in max norm.
+    # The W flow owns the check of its table.  One S6c step (tau = 0.1,
+    # M = 64) with either foreign table puts the field 0.062 (other
+    # potential) or 0.107 (other delta) off in max norm.
     @pytest.mark.parametrize("source", ["potential", "delta"])
     def test_step_rejects_foreign_w_table(self, source, grid1d, params, field1d):
-        cache = build_cache(params, grid1d)
         potential = rational_potential_1d()
         if source == "potential":
             foreign = WFlowCache(constant_potential(0.5), grid1d, params)
@@ -220,38 +241,44 @@ class TestStepping:
             foreign = WFlowCache(potential, grid1d, PhysParams(delta=0.5))
         before = field1d.values.copy()
         with pytest.raises(ValueError, match="does not match"):
-            step(field1d, 0.1, 0.0, catalog("S6c"), potential, cache, foreign)
+            apply_W_flow(field1d, 0.1, 0.0, potential, params, foreign)
         np.testing.assert_array_equal(field1d.values, before)
 
 
 class TestPropagator:
     def test_builds_w_table_only_for_time_independent_v(self, grid1d, grid2d, params):
         static = Propagator(catalog("S6c"), 0.1, rational_potential_1d(),
-                            build_cache(params, grid1d))
+                            SpectralCache(params, grid1d))
         assert static.wcache.grid == grid1d
         assert static.wcache.cache_token == "analytic-1d:rational"
         driven = Propagator(catalog("S6c"), 0.1, honeycomb_potential("linear"),
-                            build_cache(params, grid2d))
+                            SpectralCache(params, grid2d))
         assert driven.wcache is None
 
-    def test_run_equals_steps_over_its_own_w_table(self, grid2d, params, rng):
-        cache = build_cache(params, grid2d)
-        p = honeycomb_potential("constant")
-        spec = catalog("S6c")
-        f = random_field(grid2d, rng)
-        by_run = Propagator(spec, 0.05, p, cache).run(f.copy(), 0.3, 3)
-        wcache = WFlowCache(p, grid2d, params)
-        by_steps = f.copy()
-        for k in range(3):
-            step(by_steps, 0.05, 0.3 + 0.05 * k, spec, p, cache, wcache)
-        np.testing.assert_array_equal(by_run.values, by_steps.values)
+    def test_run_equals_steps_over_its_own_w_table(self, grid1d, grid2d, params, rng):
+        # The flow list against the plain program walk, bitwise: static V
+        # through an explicit W table, driven V sampled in every W flow.
+        for grid, p in ((grid1d, rational_potential_1d()),
+                        (grid2d, honeycomb_potential("constant")),
+                        (grid2d, honeycomb_potential("linear"))):
+            cache = SpectralCache(params, grid)
+            wcache = WFlowCache(p, grid, params) if p.time_independent else None
+            f = random_field(grid, rng)
+            for name in ("S6c", "S4RK", "S6-A", "S2"):
+                spec = catalog(name)
+                for tau in (0.05, -0.05):
+                    by_run = Propagator(spec, tau, p, cache).run(f.copy(), 0.3, 4)
+                    by_steps = f.copy()
+                    for k in range(4):
+                        plain_step(by_steps, tau, 0.3 + k * tau, spec, p, cache, wcache)
+                    np.testing.assert_array_equal(by_run.values, by_steps.values)
 
 
 class TestStepCounts:
     """One check for every step count: any integer >= 0, but not a bool."""
 
     def test_run_rejects_a_bool(self, grid1d, params, field1d):
-        propagator = Propagator(catalog("S2"), 0.1, zero_potential(), build_cache(params, grid1d))
+        propagator = Propagator(catalog("S2"), 0.1, zero_potential(), SpectralCache(params, grid1d))
         before = field1d.values.copy()
         with pytest.raises(ValueError, match="nonnegative integer, got True"):
             propagator.run(field1d, 0.0, True)
@@ -259,7 +286,7 @@ class TestStepCounts:
 
     def test_run_accepts_a_numpy_integer(self, grid1d, params, field1d):
         propagator = Propagator(catalog("S6c"), 0.1, rational_potential_1d(),
-                                build_cache(params, grid1d))
+                                SpectralCache(params, grid1d))
         by_numpy = propagator.run(field1d.copy(), 0.0, np.int64(3))
         by_int = propagator.run(field1d.copy(), 0.0, 3)
         np.testing.assert_array_equal(by_numpy.values, by_int.values)
@@ -282,28 +309,27 @@ class TestBatchedPropagation:
         members = [PhysParams(epsilon=e) for e in epsilons]
         fields = [random_field(grid, rng) for _ in members]
         batch = SpinorBatch(fields)
-        Propagator(spec, 0.05, potential, build_cache(members, grid)).run(batch, 0.3, 4)
+        Propagator(spec, 0.05, potential, SpectralCache(members, grid)).run(batch, 0.3, 4)
         for p, f, got in zip(members, fields, batch.members()):
-            want = Propagator(spec, 0.05, potential, build_cache(p, grid)).run(f.copy(), 0.3, 4)
+            want = Propagator(spec, 0.05, potential, SpectralCache(p, grid)).run(f.copy(), 0.3, 4)
             np.testing.assert_array_equal(got.values, want.values)
             assert abs(mass(got) - mass(f)) / mass(f) <= 1e-12
 
     def test_negative_tau_inverts_a_batch(self, grid1d, rng):
         members = [PhysParams(epsilon=e) for e in (1.0, 0.5, 0.25)]
-        cache = build_cache(members, grid1d)
+        cache = SpectralCache(members, grid1d)
         p = rational_potential_1d()
         for name in ("S2", "S4", "S6c"):
             spec = catalog(name)
             fields = [random_field(grid1d, rng) for _ in members]
             batch = SpinorBatch(fields)
-            step(batch, 0.21, 0.0, spec, p, cache)
-            step(batch, -0.21, 0.0, spec, p, cache)
+            Propagator(spec, 0.21, p, cache).run(batch, 0.0, 1)
+            Propagator(spec, -0.21, p, cache).run(batch, 0.0, 1)
             for got, f in zip(batch.members(), fields):
                 np.testing.assert_allclose(got.values, f.values, atol=1e-12)
 
     @pytest.mark.parametrize("source", ["potential", "delta", "grid"])
     def test_batch_rejects_foreign_w_table(self, source, grid1d, params, rng):
-        cache = build_cache([params, PhysParams(epsilon=0.5)], grid1d)
         potential = rational_potential_1d()
         foreign = {
             "potential": lambda: WFlowCache(constant_potential(0.5), grid1d, params),
@@ -313,11 +339,11 @@ class TestBatchedPropagation:
         batch = SpinorBatch([random_field(grid1d, rng) for _ in range(2)])
         before = batch.values.copy()
         with pytest.raises(ValueError, match="does not match"):
-            step(batch, 0.1, 0.0, catalog("S6c"), potential, cache, foreign)
+            apply_W_flow(batch, 0.1, 0.0, potential, params, foreign)
         np.testing.assert_array_equal(batch.values, before)
 
     def test_propagator_builds_one_w_table_for_the_batch(self, grid1d):
-        cache = build_cache([PhysParams(epsilon=e) for e in (1.0, 0.5)], grid1d)
+        cache = SpectralCache([PhysParams(epsilon=e) for e in (1.0, 0.5)], grid1d)
         propagator = Propagator(catalog("S6c"), 0.1, rational_potential_1d(), cache)
         assert propagator.wcache.grid == grid1d
         assert propagator.wcache.phases(0.1).shape == grid1d.shape
@@ -330,7 +356,7 @@ def oracle_setup():
     potential = rational_potential_1d()
     field = gaussian_ic(grid, (0.0, 1.0))
     exact = exact_solution(grid, params, potential, field, 0.5)
-    cache = build_cache(params, grid)
+    cache = SpectralCache(params, grid)
     return grid, params, potential, field, exact, cache
 
 
@@ -349,7 +375,7 @@ class TestConvergenceOrders:
         for k in (1, 2):
             f = field.copy()
             n = round(0.5 / (tau / k))
-            evolve(f, tau / k, 0.0, n, catalog(name), potential, cache)
+            Propagator(catalog(name), tau / k, potential, cache).run(f, 0.0, n)
             errs.append(math.sqrt(grid.h * np.sum(np.abs(f.values - exact.values) ** 2)))
         return math.log2(errs[0] / errs[1])
 
@@ -376,7 +402,7 @@ class TestConvergenceOrders:
         errs = {}
         for name in ("S4", "S4c"):
             f = field.copy()
-            evolve(f, 0.05, 0.0, 10, catalog(name), potential, cache)
+            Propagator(catalog(name), 0.05, potential, cache).run(f, 0.0, 10)
             errs[name] = math.sqrt(
                 grid.h * np.sum(np.abs(f.values - exact.values) ** 2))
         assert errs["S4c"] < errs["S4"]

@@ -25,11 +25,11 @@ from diracsplit.model import (
 from diracsplit import spectral
 from diracsplit.schemes import Propagator, catalog
 from diracsplit.spectral import (
+    SpectralCache,
     WFlowCache,
     _unit_phase,
     apply_T_flow,
     apply_W_flow,
-    build_cache,
 )
 
 from conftest import random_field
@@ -74,7 +74,7 @@ def dense_T_matrix(params, grid):
     Built directly from the per-mode generator Gamma = -i H/(delta eps^2)
     conjugated by the DFT, for use with scipy's expm as an oracle.
     """
-    cache = build_cache(params, grid)
+    cache = SpectralCache(params, grid)
     per_mode = gamma(cache).reshape(-1, 2, 2)
     n = grid.M ** grid.dim
     F = np.fft.fft(np.eye(grid.M), axis=0) / grid.M
@@ -146,7 +146,7 @@ class TestTFlow:
 
         grid = make_grid(1, -2.0, 2.0, M)
         params = PhysParams(delta=0.7, nu=0.9, epsilon=0.6)
-        cache = build_cache(params, grid)
+        cache = SpectralCache(params, grid)
         T = dense_T_matrix(params, grid)
         for ctau in (0.3, -0.25, 1.7, 0.01):
             U = expm(ctau * T)
@@ -161,7 +161,7 @@ class TestTFlow:
 
         grid = make_grid(2, -1.0, 1.0, 4)
         params = PhysParams(delta=1.0, nu=0.5, epsilon=0.8)
-        cache = build_cache(params, grid)
+        cache = SpectralCache(params, grid)
         U = expm(0.4 * dense_T_matrix(params, grid))
         f = random_field(grid, rng)
         expected = (U @ f.values.reshape(-1)).reshape(f.values.shape)
@@ -169,34 +169,34 @@ class TestTFlow:
         np.testing.assert_allclose(got.values, expected, atol=1e-12)
 
     def test_unitary(self, grid1d, params, rng):
-        cache = build_cache(params, grid1d)
+        cache = SpectralCache(params, grid1d)
         f = random_field(grid1d, rng)
         m0 = mass(f)
         apply_T_flow(f, 0.37, cache)
         assert mass(f) == pytest.approx(m0, rel=1e-13)
 
     def test_composition_additivity(self, grid1d, params, rng):
-        cache = build_cache(params, grid1d)
+        cache = SpectralCache(params, grid1d)
         f = random_field(grid1d, rng)
         one = apply_T_flow(f.copy(), 0.7, cache)
         two = apply_T_flow(apply_T_flow(f.copy(), 0.3, cache), 0.4, cache)
         np.testing.assert_allclose(one.values, two.values, atol=1e-12)
 
     def test_inverse_step_restores(self, grid1d, params, rng):
-        cache = build_cache(params, grid1d)
+        cache = SpectralCache(params, grid1d)
         f = random_field(grid1d, rng)
         g = apply_T_flow(apply_T_flow(f.copy(), 0.9, cache), -0.9, cache)
         np.testing.assert_allclose(g.values, f.values, atol=1e-12)
 
     def test_zero_step_is_identity(self, grid1d, params, rng):
-        cache = build_cache(params, grid1d)
+        cache = SpectralCache(params, grid1d)
         f = random_field(grid1d, rng)
         g = apply_T_flow(f.copy(), 0.0, cache)
         np.testing.assert_allclose(g.values, f.values, atol=1e-15)
 
     def test_grid_mismatch_rejected(self, grid1d, params, rng):
         other = make_grid(1, -8.0, 8.0, 32)
-        cache = build_cache(params, other)
+        cache = SpectralCache(params, other)
         with pytest.raises(ValueError):
             apply_T_flow(random_field(grid1d, rng), 0.1, cache)
 
@@ -205,7 +205,7 @@ class TestTFlow:
     def test_additivity_property(self, c1, c2):
         grid = make_grid(1, -2.0, 2.0, 8)
         params = PhysParams(delta=0.5, nu=1.0, epsilon=0.9)
-        cache = build_cache(params, grid)
+        cache = SpectralCache(params, grid)
         rng = np.random.default_rng(42)
         f = random_field(grid, rng)
         combined = apply_T_flow(f.copy(), c1 + c2, cache)
@@ -225,7 +225,7 @@ def fast_setup(request):
     dim, M = request.param
     grid = make_grid(dim, -8.0, 8.0, M)
     params = PhysParams(delta=0.7, nu=0.9, epsilon=0.6)
-    return grid, build_cache(params, grid)
+    return grid, SpectralCache(params, grid)
 
 
 class TestTFlowFastPath:
@@ -283,7 +283,7 @@ class TestTFlowFastPath:
                 np.testing.assert_allclose(g.values, plain.values, rtol=0, atol=FAST_PATH_ATOL)
             serial.append(g)
 
-        shared = build_cache(cache.params, grid)
+        shared = SpectralCache(cache.params, grid)
         results = [None] * len(starts)
         barrier = threading.Barrier(len(starts))
 
@@ -368,7 +368,7 @@ class TestTFlowCallForm:
     @pytest.mark.parametrize("ctau", [0.0, -0.37, 250.0, 1.0 / 64.0])
     def test_bitwise_equal_to_shapeless_flow(self, dim, M, ctau, rng):
         grid = make_grid(dim, -8.0, 8.0, M)
-        cache = build_cache(PhysParams(delta=0.7, nu=0.9, epsilon=0.6), grid)
+        cache = SpectralCache(PhysParams(delta=0.7, nu=0.9, epsilon=0.6), grid)
         f = random_field(grid, rng)
         expected = shapeless_T_flow(f.copy(), ctau, cache)
         got = apply_T_flow(f.copy(), ctau, cache)
@@ -377,7 +377,7 @@ class TestTFlowCallForm:
     @pytest.mark.parametrize("dim,M", [(1, 64), (2, 16)])
     def test_every_transform_is_given_shape_and_axes(self, dim, M, rng, monkeypatch):
         grid = make_grid(dim, -8.0, 8.0, M)
-        cache = build_cache(PhysParams(), grid)
+        cache = SpectralCache(PhysParams(), grid)
         f = random_field(grid, rng)
         calls = recording_np(monkeypatch)
         for ctau in (0.2, -0.1, 0.2):
@@ -388,16 +388,16 @@ class TestTFlowCallForm:
     def test_equal_grid_object_is_accepted(self, grid1d, params, rng):
         twin = replace(grid1d)
         assert twin is not grid1d and twin == grid1d
-        cache = build_cache(params, twin)
+        cache = SpectralCache(params, twin)
         f = random_field(grid1d, rng)
-        expected = apply_T_flow(f.copy(), 0.3, build_cache(params, grid1d))
+        expected = apply_T_flow(f.copy(), 0.3, SpectralCache(params, grid1d))
         got = apply_T_flow(f.copy(), 0.3, cache)
         np.testing.assert_array_equal(got.values, expected.values)
 
     def test_grid_differing_in_one_field_raises(self, grid1d, params, rng):
         shifted = replace(grid1d, a=grid1d.a - 1.0)
         with pytest.raises(ValueError, match="does not match"):
-            apply_T_flow(random_field(grid1d, rng), 0.3, build_cache(params, shifted))
+            apply_T_flow(random_field(grid1d, rng), 0.3, SpectralCache(params, shifted))
 
 
 class TestWFlow:
@@ -477,7 +477,7 @@ class TestWFlow:
         # A spatially constant W is a global phase, so the two flows commute
         # exactly; this isolates ordering bugs from genuine splitting error.
         p = constant_potential(0.8)
-        cache = build_cache(params, grid1d)
+        cache = SpectralCache(params, grid1d)
         f = random_field(grid1d, rng)
         tw = apply_W_flow(apply_T_flow(f.copy(), 0.3, cache), 0.4, 0.0, p, params)
         wt = apply_T_flow(apply_W_flow(f.copy(), 0.4, 0.0, p, params), 0.3, cache)
@@ -498,10 +498,10 @@ class TestBatchedTFlow:
                                       make_grid(2, -4.0, 4.0, 32)], ids=["1d-512", "2d-32"])
     def test_tables_are_the_members_tables(self, grid):
         members = [PhysParams(nu=0.9, epsilon=e) for e in BATCH_EPSILONS]
-        batch = build_cache(members, grid)
+        batch = SpectralCache(members, grid)
         assert batch._axes == tuple(range(2, 2 + grid.dim))
         for i, p in enumerate(members):
-            own = build_cache(p, grid)
+            own = SpectralCache(p, grid)
             for name in ("phase_scale", "nx", "ny", "nz"):
                 np.testing.assert_array_equal(getattr(batch, name)[i], getattr(own, name))
             for got, want in zip(batch.rotation(-0.37), own.rotation(-0.37)):
@@ -509,7 +509,7 @@ class TestBatchedTFlow:
                 np.testing.assert_array_equal(got[i], want)
 
     def test_one_member_keeps_the_field_layout(self, grid2d, params):
-        for cache in (build_cache(params, grid2d), build_cache([params], grid2d)):
+        for cache in (SpectralCache(params, grid2d), SpectralCache([params], grid2d)):
             assert cache.params is params
             assert cache._axes == (1, 2)
             assert cache.phase_scale.shape == grid2d.shape
@@ -521,20 +521,20 @@ class TestBatchedTFlow:
         members = [PhysParams(epsilon=e) for e in BATCH_EPSILONS]
         fields = [random_field(grid, rng) for _ in members]
         batch = SpinorBatch(fields)
-        cache = build_cache(members, grid)
+        cache = SpectralCache(members, grid)
         for ctau in (0.3, -0.37):
             apply_T_flow(batch, ctau, cache)
         for p, f, got in zip(members, fields, batch.members()):
-            own = build_cache(p, grid)
+            own = SpectralCache(p, grid)
             for ctau in (0.3, -0.37):
                 apply_T_flow(f, ctau, own)
             np.testing.assert_array_equal(got.values, f.values)
 
     def test_members_must_share_delta(self, grid1d):
         with pytest.raises(ValueError, match="share delta"):
-            build_cache([PhysParams(delta=1.0), PhysParams(delta=0.5)], grid1d)
+            SpectralCache([PhysParams(delta=1.0), PhysParams(delta=0.5)], grid1d)
         with pytest.raises(ValueError, match="at least one"):
-            build_cache([], grid1d)
+            SpectralCache([], grid1d)
 
     def test_members_must_share_the_grid(self, grid1d, rng):
         other = make_grid(1, -16.0, 16.0, 64)
@@ -543,13 +543,13 @@ class TestBatchedTFlow:
 
     def test_batch_size_must_match_the_cache(self, grid1d, params, rng):
         fields = [random_field(grid1d, rng) for _ in range(2)]
-        three = build_cache([params] * 3, grid1d)
+        three = SpectralCache([params] * 3, grid1d)
         with pytest.raises(ValueError, match="do not match the cache"):
             apply_T_flow(SpinorBatch(fields), 0.3, three)
         with pytest.raises(ValueError, match="do not match the cache"):
             apply_T_flow(fields[0], 0.3, three)
         with pytest.raises(ValueError, match="do not match the cache"):
-            apply_T_flow(SpinorBatch(fields), 0.3, build_cache(params, grid1d))
+            apply_T_flow(SpinorBatch(fields), 0.3, SpectralCache(params, grid1d))
 
     def test_batch_of_one_is_a_plain_copy(self, field1d):
         batch = SpinorBatch([field1d])
@@ -588,7 +588,7 @@ class TestSplitTFlow:
     equals, bit for bit, the serial flow that any other thread runs."""
 
     def test_single_field_equals_serial_flow(self, rng, helper_jobs):
-        cache = build_cache(PhysParams(delta=0.7, nu=0.9, epsilon=0.6), GRID_256)
+        cache = SpectralCache(PhysParams(delta=0.7, nu=0.9, epsilon=0.6), GRID_256)
         f = random_field(GRID_256, rng)
 
         def flows():
@@ -606,7 +606,7 @@ class TestSplitTFlow:
 
     def test_batch_equals_serial_flow(self, rng, helper_jobs):
         members = [PhysParams(epsilon=e) for e in (1.0, 0.5)]
-        cache = build_cache(members, GRID_256)
+        cache = SpectralCache(members, GRID_256)
         fields = [random_field(GRID_256, rng) for _ in members]
 
         def flows():
@@ -629,7 +629,7 @@ class TestSplitTFlow:
         potential = honeycomb_potential(theta)
 
         def run():
-            propagator = Propagator(catalog("S6c"), 0.05, potential, build_cache(params, GRID_256))
+            propagator = Propagator(catalog("S6c"), 0.05, potential, SpectralCache(params, GRID_256))
             return propagator.run(start.copy(), 0.0, 4)
 
         split = run()
@@ -639,7 +639,7 @@ class TestSplitTFlow:
         assert abs(mass(split) - mass(start)) / mass(start) <= 1e-12
 
     def test_transforms_go_per_component_through_spectral_np(self, rng, monkeypatch):
-        cache = build_cache(PhysParams(), GRID_256)
+        cache = SpectralCache(PhysParams(), GRID_256)
         f = random_field(GRID_256, rng)
         calls = recording_np(monkeypatch)
         apply_T_flow(f, 0.2, cache)
@@ -656,7 +656,7 @@ class TestSplitTFlow:
     def test_small_components_never_split(self, dim, M, k, rng, helper_jobs):
         grid = make_grid(dim, -8.0, 8.0, M)
         members = [PhysParams(epsilon=1.0 / (i + 1)) for i in range(k)]
-        cache = build_cache(members, grid)
+        cache = SpectralCache(members, grid)
         fields = [random_field(grid, rng) for _ in members]
         batch = SpinorBatch(fields)
         for ctau in SPLIT_CTAUS:
@@ -665,14 +665,14 @@ class TestSplitTFlow:
 
     def test_one_usable_cpu_never_splits(self, rng, helper_jobs, monkeypatch):
         monkeypatch.setattr(spectral, "_usable_cpus", lambda: 1)
-        apply_T_flow(random_field(GRID_256, rng), 0.2, build_cache(PhysParams(), GRID_256))
+        apply_T_flow(random_field(GRID_256, rng), 0.2, SpectralCache(PhysParams(), GRID_256))
         assert helper_jobs == []
 
     def test_split_flows_beside_pool_threads_match_serial(self, rng, helper_jobs):
         # More threads than cores and a short switch interval: the main
         # thread's split flows and three threads' serial flows share one
         # cache, and each field must come out as its serial run.
-        cache = build_cache(PhysParams(delta=0.7, nu=0.9, epsilon=0.6), GRID_256)
+        cache = SpectralCache(PhysParams(delta=0.7, nu=0.9, epsilon=0.6), GRID_256)
         starts = [random_field(GRID_256, rng) for _ in range(4)]
 
         def flows(f):
@@ -708,7 +708,7 @@ class TestSplitTFlow:
 
     @pytest.mark.parametrize("fail_on", ["MainThread", "diracsplit-T-flow_0"])
     def test_a_failing_share_raises_and_the_next_flow_runs(self, fail_on, rng, monkeypatch):
-        cache = build_cache(PhysParams(), GRID_256)
+        cache = SpectralCache(PhysParams(), GRID_256)
         f = random_field(GRID_256, rng)
         want = on_worker_thread(lambda: apply_T_flow(f.copy(), 0.2, cache))
         apply_T_flow(f.copy(), 0.2, cache)  # the helper thread exists and has its name
