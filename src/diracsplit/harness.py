@@ -811,7 +811,10 @@ def per_step_time(
     n_steps: int = 20,
     repeats: int = 3,
 ) -> float:
-    """Best-of-repeats wall time per step for the propagation loop alone."""
+    """Best-of-repeats wall time per step for the propagation loop alone.
+
+    Each repeat is one `n_steps` run, so the time is of amortized steps,
+    with the run's step boundaries merged (see `Propagator`)."""
     if n_steps < 1 or repeats < 1:
         raise ValueError("n_steps and repeats must be positive")
     propagator = problem.propagator(scheme_name, tau)

@@ -4,7 +4,8 @@ A scheme is an ordered program of exponential steps; each step applies
 e^{c tau T} or e^{c tau W(t_n + f tau)}.  Programs are stored left to right
 as the factors appear in the operator product and executed right to left
 (the rightmost factor acts on the field first).  `Propagator`, the one
-way to run a program, flattens it into flows at a checked tau.
+way to run a program, compiles it into flows at a checked tau and merges
+the step boundaries of a multi-step run.
 
 The catalog covers:
 
@@ -270,16 +271,30 @@ class Propagator:
     """The one interpreter of a step program: `spec` at step tau on one problem.
 
     Construction checks tau (finite and nonzero; negative runs backward) and
-    lists `_flows` in execution order: kind, c*tau and W time offset f*tau.
+    compiles the program once into flows in execution order: kind, c*tau and
+    W time offset f*tau.
 
     The spectral cache carries the T rotations for its (params, grid); a
     time-independent potential adds a W phase table built here from the
     same grid and params, so the two tables always belong together.  A
     cache built for a batch makes this the solve of a `SpinorBatch`, with
     one W table for all its members.
+
+    Step boundaries are merged (first-same-as-last): when the program's
+    first and last flows are of one kind, a run of n >= 2 steps applies the
+    last flow of step k and the first flow of step k+1 as one flow with
+    coefficient c_last + c_first, evaluated at step k's tail time
+    t_k + f_last*tau.  Under the time-ordering rule both factors sample V
+    at t_{k+1}, so the merged run is the unmerged one to round-off.  An
+    n-step S6c run on a time-dependent V thus does 4n T flows and 4n + 1
+    sampled W flows (the paper's per-step count is 4 and 5), and S4RK
+    saves one T flow per boundary.  A W boundary that reads the cached
+    phase table is not merged: the merged coefficient would add a second
+    table (1 MB at 256^2) to save one multiply.  `run(field, t, 1)` is the
+    plain, unmerged step.
     """
 
-    __slots__ = ("tau", "potential", "cache", "wcache", "_flows")
+    __slots__ = ("tau", "potential", "cache", "wcache", "_flows", "_head", "_body", "_tail")
 
     def __init__(self, spec: SchemeSpec, tau: float, potential: Potential,
                  cache: SpectralCache):
@@ -294,22 +309,37 @@ class Propagator:
             if potential.time_independent
             else None
         )
-        self._flows = tuple((s.op_kind, s.coeff * tau, s.time_offset * tau)
-                            for s in reversed(spec.steps))
+        flows = tuple((s.op_kind, s.coeff * tau, s.time_offset * tau)
+                      for s in reversed(spec.steps))
+        self._flows = self._head = self._body = self._tail = flows
+        first, last = spec.steps[-1], spec.steps[0]  # executed first and last
+        if first.op_kind == last.op_kind and (first.op_kind == "T" or self.wcache is None):
+            merged = (last.op_kind, (last.coeff + first.coeff) * tau, flows[-1][2])
+            self._head = flows[:-1] + (merged,)
+            self._body = flows[1:-1] + (merged,)
+            self._tail = flows[1:]
 
     def run(self, field: Field, t0: float, n_steps: int) -> Field:
-        """Apply `n_steps` scheme steps in place, step n starting at t0 + n*tau."""
-        for n in range(check_n_steps(n_steps)):
-            step(self, field, t0 + n * self.tau)
+        """Apply `n_steps` scheme steps in place, step n starting at t0 + n*tau.
+
+        Step boundaries are merged as the class describes; one step is the
+        program's own flows."""
+        n_steps = check_n_steps(n_steps)
+        if n_steps == 1:
+            return step(self, field, t0, self._flows)
+        for n in range(n_steps):
+            flows = self._head if n == 0 else self._tail if n == n_steps - 1 else self._body
+            step(self, field, t0 + n * self.tau, flows)
         return field
 
 
-def step(propagator: Propagator, field: Field, t_n: float) -> Field:
-    """One step of `propagator`'s flows on the field (or batch), in place, from t_n.
+def step(propagator: Propagator, field: Field, t_n: float,
+         flows: tuple[tuple[str, float, float], ...]) -> Field:
+    """One step, `flows` of `propagator`, on the field (or batch), in place, from t_n.
 
     A module global: the benchmark's tracer wraps it to count steps."""
     cache, wcache, potential = propagator.cache, propagator.wcache, propagator.potential
-    for kind, ctau, offset in propagator._flows:
+    for kind, ctau, offset in flows:
         if kind == "T":
             apply_T_flow(field, ctau, cache)
         else:

@@ -35,11 +35,15 @@ __all__ = [
     "apply_W_flow",
 ]
 
-# Fewest points per spinor component for which a T flow splits its work with
-# the helper thread.  Measured on a 2-core machine (numpy 2.4.6), one T flow:
-# 16384 points (1D M=16384, 2D M=128) ran as fast split as serial, 25600 (2D
-# M=160) and 32768 (1D M=32768) 20% faster, 65536 (2D M=256) about 2x faster;
-# 4096 (2D M=64, a 1D M=1024 batch of 4) took twice as long split.
+# Fewest points per spinor component for which a T flow, or a sampled W flow,
+# splits its work with the helper thread.  Measured on a 2-core machine
+# (numpy 2.4.6), one T flow: 16384 points (1D M=16384, 2D M=128) ran as fast
+# split as serial, 25600 (2D M=160) and 32768 (1D M=32768) 20% faster, 65536
+# (2D M=256) about 2x faster; 4096 (2D M=64, a 1D M=1024 batch of 4) took
+# twice as long split.  One sampled W flow at 2D M=256, linear theta (best of
+# 30, four runs), took 0.9-1.8 ms serially, about 70% of it cos/sin, and
+# 0.66-0.70 ms split; the hand-off costs about 0.1 ms, so the one threshold
+# serves both flows.
 _SPLIT_MIN_POINTS = 1 << 15
 
 
@@ -186,7 +190,7 @@ def _check_grids(field: Field, grid: Grid) -> None:
 
 @functools.cache
 def _helper_pool() -> ThreadPoolExecutor:
-    """The one helper thread of the split T flows, started on first use."""
+    """The one helper thread of the split T and sampled W flows, started on first use."""
     return ThreadPoolExecutor(max_workers=1, thread_name_prefix="diracsplit-T-flow")
 
 
@@ -197,18 +201,25 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _splits(cache: SpectralCache, values: np.ndarray) -> bool:
-    """Whether a T flow of `values` uses the helper thread.
+def _splits(component_size: int, values: np.ndarray) -> bool:
+    """Whether a flow of `values`, `component_size` points per spinor
+    component, uses the helper thread.
 
     Only for a contiguous field whose component has at least
     _SPLIT_MIN_POINTS points, called from the main thread, with at least
     two usable CPUs: a study's pool threads (workers > 1) already own the
     cores, so their flows stay serial.
     """
-    return (cache._component_size >= _SPLIT_MIN_POINTS
+    return (component_size >= _SPLIT_MIN_POINTS
             and values.flags.c_contiguous
             and threading.current_thread() is threading.main_thread()
             and _usable_cpus() >= 2)
+
+
+def _half(n: int) -> int:
+    """Where a split flow cuts n points: on a multiple of 64, so the vector
+    loops see each part's elements at the offsets they have in the whole."""
+    return n // 128 * 64
 
 
 def _flow_part(x: np.ndarray, axes: tuple[int, ...], shape: tuple[int, ...],
@@ -273,15 +284,12 @@ def apply_T_flow(field: Field, ctau: float, cache: SpectralCache) -> Field:
         raise ValueError(f"field values {v.shape} do not match the cache's {cache._values_shape}")
     a, b = cache.rotation(ctau)
     shape = cache._shape
-    if not _splits(cache, v):
+    if not _splits(cache._component_size, v):
         _flow_part(v, cache._axes, shape, v[0], v[1], a, b, None)
         return field
     axes = tuple(axis - 1 for axis in cache._axes)  # the axes of one component
     flat, a, b = v.reshape(2, -1), a.reshape(-1), b.reshape(-1)
-    n = flat.shape[1]
-    # Split on a multiple of 64 modes, so the vector loops see each half's
-    # elements at the offsets they have in the whole.
-    half = n // 128 * 64
+    half = _half(flat.shape[1])
     barrier = threading.Barrier(2)
     job = _helper_pool().submit(_flow_part, v[1], axes, shape, flat[0, half:], flat[1, half:],
                                 a[half:], b[half:], barrier)
@@ -312,6 +320,14 @@ def apply_W_flow(
     supplied (time-independent potentials only) the phase table is reused
     across steps; it must have been built on the field's grid from the same
     potential and delta.
+
+    A sampled phase (no `wcache`) splits like a T flow, under the same
+    rule: V is sampled once on the calling thread into one phase array,
+    and the caller and the helper thread each write cos/sin of their part
+    of the grid (the row-major points, cut at a row for 2D M=256) and
+    multiply those points of every component and member.  Every value is
+    computed as in the serial flow, so the result is bitwise the same.  A
+    cached phase is one multiply and never splits.
     """
     if wcache is not None:
         _check_grids(field, wcache.grid)
@@ -320,9 +336,34 @@ def apply_W_flow(
                 f"W phase table of potential {wcache.cache_token!r} at delta={wcache.delta!r} "
                 f"does not match {potential.cache_token!r} at delta={params.delta!r}"
             )
-        phase = wcache.phases(ctau)
-    else:
-        phase = _unit_phase(potential.sample_grid(t_eval, field.grid)
-                            * (-float(ctau) / params.delta))
-    field.values *= phase
+        field.values *= wcache.phases(ctau)
+        return field
+    v = field.values
+    grid_v = potential.sample_grid(t_eval, field.grid)
+    scale = -float(ctau) / params.delta
+    if not _splits(v.size // 2, v):
+        v *= _unit_phase(grid_v * scale)
+        return field
+    n = grid_v.size
+    points, grid_v = v.reshape(*v.shape[:-field.grid.dim], n), grid_v.reshape(n)
+    phase = np.empty(n, dtype=np.complex128)
+    half = _half(n)
+    job = _helper_pool().submit(_w_part, points, grid_v, scale, phase, half, n)
+    try:
+        _w_part(points, grid_v, scale, phase, 0, half)
+    finally:
+        error = job.exception()
+    if error is not None:
+        raise error
     return field
+
+
+def _w_part(points: np.ndarray, grid_v: np.ndarray, scale: float, phase: np.ndarray,
+            lo: int, hi: int) -> None:
+    """One thread's share of a split W flow: the phase e^{i scale V} of grid
+    points lo:hi, written into `phase`, then those points of `points`
+    (the field's values with the grid axes flattened) multiplied by it."""
+    arg = grid_v[lo:hi] * scale
+    np.cos(arg, out=phase.real[lo:hi])
+    np.sin(arg, out=phase.imag[lo:hi])
+    points[..., lo:hi] *= phase[lo:hi]

@@ -158,6 +158,33 @@ def plain_step(field, tau, t_n, spec, potential, cache, wcache=None):
     return field
 
 
+def plain_run(field, tau, t0, n_steps, spec, potential, cache, wcache=None):
+    """`n_steps` steps read straight off `spec.steps`, right to left, with
+    the first-same-as-last merge written out: when the first and last
+    factors are of one kind (and a W pair samples V), the last factor of
+    step k and the first of step k+1 are one flow, c_last + c_first, at
+    step k's tail time.  The plain interpreter that `Propagator.run` must
+    match bitwise."""
+    steps = spec.steps[::-1]  # execution order
+    first, last = steps[0], steps[-1]
+    merge = first.op_kind == last.op_kind and (first.op_kind == "T" or wcache is None)
+    for k in range(n_steps):
+        t_k = t0 + k * tau
+        for i, s in enumerate(steps):
+            coeff = s.coeff
+            if merge and n_steps > 1:
+                if i == 0 and k > 0:
+                    continue  # applied as the previous step's last flow
+                if i == len(steps) - 1 and k < n_steps - 1:
+                    coeff = last.coeff + first.coeff
+            if s.op_kind == "T":
+                apply_T_flow(field, coeff * tau, cache)
+            else:
+                apply_W_flow(field, coeff * tau, t_k + s.time_offset * tau, potential,
+                             cache.params, wcache)
+    return field
+
+
 class TestStepping:
     def test_step_rejects_zero_or_nonfinite_tau(self, grid1d, params, rng):
         # tau is checked once, when the flows are built, so a run of no
@@ -189,6 +216,8 @@ class TestStepping:
             np.testing.assert_allclose(g.values, f.values, atol=1e-12)
 
     def test_evolve_equals_repeated_step(self, grid2d, rng):
+        # A 3-step run merges its two W boundaries; three 1-step runs do
+        # not, so they agree to round-off.
         params = PhysParams()
         cache = SpectralCache(params, grid2d)
         p = honeycomb_potential("linear")
@@ -198,7 +227,7 @@ class TestStepping:
         by_steps = f.copy()
         for k in range(3):
             propagator.run(by_steps, 0.3 + 0.05 * k, 1)
-        np.testing.assert_array_equal(by_run.values, by_steps.values)
+        np.testing.assert_allclose(by_run.values, by_steps.values, rtol=0, atol=1e-13)
 
     def test_time_dependent_offset_matters(self, grid2d, params, rng):
         # With a time-dependent potential, starting the same step at two
@@ -256,8 +285,8 @@ class TestPropagator:
         assert driven.wcache is None
 
     def test_run_equals_steps_over_its_own_w_table(self, grid1d, grid2d, params, rng):
-        # The flow list against the plain program walk, bitwise: static V
-        # through an explicit W table, driven V sampled in every W flow.
+        # The compiled flows against the plain merged walk, bitwise: static
+        # V through an explicit W table, driven V sampled in every W flow.
         for grid, p in ((grid1d, rational_potential_1d()),
                         (grid2d, honeycomb_potential("constant")),
                         (grid2d, honeycomb_potential("linear"))):
@@ -268,10 +297,75 @@ class TestPropagator:
                 spec = catalog(name)
                 for tau in (0.05, -0.05):
                     by_run = Propagator(spec, tau, p, cache).run(f.copy(), 0.3, 4)
-                    by_steps = f.copy()
-                    for k in range(4):
-                        plain_step(by_steps, tau, 0.3 + k * tau, spec, p, cache, wcache)
-                    np.testing.assert_array_equal(by_run.values, by_steps.values)
+                    by_walk = plain_run(f.copy(), tau, 0.3, 4, spec, p, cache, wcache)
+                    np.testing.assert_array_equal(by_run.values, by_walk.values)
+
+
+MERGING = ("S6c", "S4RK", "S6-A", "S2")
+
+
+class TestMergedBoundaries:
+    """A run of n >= 2 steps merges each step boundary whose flows are of
+    one kind, unless it is a W pair reading the cached phase table."""
+
+    @pytest.mark.parametrize("n_steps", [0, 1, 2])
+    @pytest.mark.parametrize("name", MERGING)
+    def test_short_runs_equal_the_plain_merged_walk(self, name, n_steps, grid2d, params, rng):
+        cache = SpectralCache(params, grid2d)
+        p = honeycomb_potential("linear")
+        f = random_field(grid2d, rng)
+        for tau in (0.05, -0.05):
+            by_run = Propagator(catalog(name), tau, p, cache).run(f.copy(), 0.3, n_steps)
+            by_walk = plain_run(f.copy(), tau, 0.3, n_steps, catalog(name), p, cache)
+            np.testing.assert_array_equal(by_run.values, by_walk.values)
+            if n_steps < 2:  # nothing to merge: the plain steps, bit for bit
+                by_steps = f.copy()
+                for k in range(n_steps):
+                    plain_step(by_steps, tau, 0.3 + k * tau, catalog(name), p, cache)
+                np.testing.assert_array_equal(by_run.values, by_steps.values)
+
+    @pytest.mark.parametrize("name", [n for n in CATALOG_NAMES if n != "S4RK"])
+    def test_cached_w_boundaries_are_not_merged(self, name, grid1d, grid2d, params, rng):
+        # S4RK starts and ends with T, so it merges over any V; S1 starts
+        # with W and ends with T, so it runs unmerged over a sampled V too.
+        cases = [(grid1d, rational_potential_1d())]
+        if name == "S1":
+            cases.append((grid2d, honeycomb_potential("linear")))
+        for grid, p in cases:
+            cache = SpectralCache(params, grid)
+            wcache = WFlowCache(p, grid, params) if p.time_independent else None
+            f = random_field(grid, rng)
+            by_run = Propagator(catalog(name), 0.05, p, cache).run(f.copy(), 0.3, 4)
+            by_steps = f.copy()
+            for k in range(4):
+                plain_step(by_steps, 0.05, 0.3 + k * 0.05, catalog(name), p, cache, wcache)
+            np.testing.assert_array_equal(by_run.values, by_steps.values)
+
+    @pytest.mark.parametrize("name", MERGING)
+    def test_merged_run_agrees_with_the_unmerged_walk(self, name, grid1d, grid2d, params, rng):
+        for grid, p in ((grid2d, honeycomb_potential("linear")),
+                        (grid1d, rational_potential_1d())):
+            cache = SpectralCache(params, grid)
+            wcache = WFlowCache(p, grid, params) if p.time_independent else None
+            f = random_field(grid, rng)
+            for tau in (0.05, -0.05):
+                by_run = Propagator(catalog(name), tau, p, cache).run(f.copy(), 0.3, 6)
+                by_steps = f.copy()
+                for k in range(6):
+                    plain_step(by_steps, tau, 0.3 + k * tau, catalog(name), p, cache, wcache)
+                np.testing.assert_allclose(by_run.values, by_steps.values, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("name", ("S2", "S4", "S4RK", "S6c"))
+    def test_negative_tau_inverts_a_merged_run(self, name, grid2d, params, rng):
+        # The backward run starts where the forward one ended, so each of
+        # its merged W flows samples V where the forward merged flow did.
+        cache = SpectralCache(params, grid2d)
+        p = honeycomb_potential("linear")
+        f = random_field(grid2d, rng)
+        g = Propagator(catalog(name), 0.05, p, cache).run(f.copy(), 0.3, 5)
+        assert np.max(np.abs(g.values - f.values)) > 1e-3
+        Propagator(catalog(name), -0.05, p, cache).run(g, 0.3 + 5 * 0.05, 5)
+        np.testing.assert_allclose(g.values, f.values, rtol=0, atol=1e-12)
 
 
 class TestStepCounts:

@@ -633,7 +633,9 @@ class TestSplitTFlow:
             return propagator.run(start.copy(), 0.0, 4)
 
         split = run()
-        assert len(helper_jobs) == 4 * 4  # S6c has four T flows per step
+        # four T flows per step, and with a sampled V the 4n + 1 W flows of
+        # a merged 4-step run
+        assert len(helper_jobs) == 16 + (17 if theta == "linear" else 0)
         serial = on_worker_thread(run)
         np.testing.assert_array_equal(split.values, serial.values)
         assert abs(mass(split) - mass(start)) / mass(start) <= 1e-12
@@ -717,4 +719,100 @@ class TestSplitTFlow:
             with pytest.raises(RuntimeError, match=f"fftn failed on {fail_on}"):
                 apply_T_flow(f.copy(), 0.2, cache)
         got = apply_T_flow(f.copy(), 0.2, cache)
+        np.testing.assert_array_equal(got.values, want.values)
+
+
+def recording_cos_np(monkeypatch, fail_on):
+    """Put a proxy in place of spectral.np whose cos raises on the thread
+    named `fail_on` and records the size and thread of every other call."""
+    calls = []
+
+    def cos(x, *args, **kwargs):
+        thread = threading.current_thread().name
+        if thread == fail_on:
+            raise RuntimeError(f"cos failed on {thread}")
+        calls.append((np.size(x), thread))
+        return np.cos(x, *args, **kwargs)
+
+    proxy = types.ModuleType("numpy")
+    proxy.__dict__.update(np.__dict__)
+    proxy.cos = cos
+    monkeypatch.setattr(spectral, "np", proxy)
+    return calls
+
+
+DRIVEN = honeycomb_potential("linear")
+W_FLOWS = ((0.3, 0.0), (-0.1, 0.45), (250.0, 1.3), (1.0 / 64.0, -0.2))  # (c*tau, t)
+
+
+class TestSplitWFlow:
+    """A sampled W flow at 2D M=256 on the main thread splits its phase and
+    multiply across the helper thread and equals, bit for bit, the serial
+    flow that any other thread runs."""
+
+    @staticmethod
+    def flows(field, params):
+        for ctau, t in W_FLOWS:
+            apply_W_flow(field, ctau, t, DRIVEN, params)
+        return field
+
+    def test_single_field_equals_serial_flow(self, rng, helper_jobs):
+        params = PhysParams(delta=0.7)
+        f = random_field(GRID_256, rng)
+        split = self.flows(f.copy(), params)
+        assert helper_jobs == ["MainThread"] * len(W_FLOWS)
+        serial = on_worker_thread(lambda: self.flows(f.copy(), params))
+        assert len(helper_jobs) == len(W_FLOWS)
+        np.testing.assert_array_equal(split.values, serial.values)
+        assert abs(mass(split) - mass(f)) / mass(f) <= 1e-12
+
+    def test_batch_splits_on_the_grid_axis(self, rng, helper_jobs, monkeypatch):
+        params = PhysParams()
+        fields = [random_field(GRID_256, rng) for _ in range(2)]
+        calls = recording_cos_np(monkeypatch, fail_on=None)
+        split = self.flows(SpinorBatch(fields), params)
+        assert len(helper_jobs) == len(W_FLOWS)
+        # each thread takes half of the grid's points for both members, not
+        # one member's whole grid
+        half = GRID_256.M ** 2 // 2
+        assert sorted(calls) == sorted([(half, "MainThread"), (half, "diracsplit-T-flow_0")]
+                                       * len(W_FLOWS))
+        serial = on_worker_thread(lambda: self.flows(SpinorBatch(fields), params))
+        np.testing.assert_array_equal(split.values, serial.values)
+        for got, f in zip(split.members(), fields):
+            want = on_worker_thread(lambda f=f: self.flows(f.copy(), params))
+            np.testing.assert_array_equal(got.values, want.values)
+
+    def test_cached_phase_never_splits(self, rng, helper_jobs):
+        params = PhysParams()
+        static = honeycomb_potential("constant")
+        wcache = WFlowCache(static, GRID_256, params)
+        apply_W_flow(random_field(GRID_256, rng), 0.3, 0.0, static, params, wcache)
+        assert helper_jobs == []
+
+    def test_pool_threads_never_split(self, rng, helper_jobs):
+        on_worker_thread(lambda: self.flows(random_field(GRID_256, rng), PhysParams()))
+        assert helper_jobs == []
+
+    def test_one_usable_cpu_never_splits(self, rng, helper_jobs, monkeypatch):
+        monkeypatch.setattr(spectral, "_usable_cpus", lambda: 1)
+        self.flows(random_field(GRID_256, rng), PhysParams())
+        assert helper_jobs == []
+
+    @pytest.mark.parametrize("M", [32, 64, 128])
+    def test_small_grids_never_split(self, M, rng, helper_jobs):
+        self.flows(random_field(make_grid(2, -8.0, 8.0, M), rng), PhysParams())
+        assert helper_jobs == []
+
+    @pytest.mark.parametrize("fail_on", ["MainThread", "diracsplit-T-flow_0"])
+    def test_a_failing_share_raises_and_the_next_flow_runs(self, fail_on, rng, monkeypatch):
+        params = PhysParams()
+        f = random_field(GRID_256, rng)
+        want = on_worker_thread(lambda: apply_W_flow(f.copy(), 0.2, 0.1, DRIVEN, params))
+        apply_W_flow(f.copy(), 0.2, 0.1, DRIVEN, params)  # the helper thread exists and has its name
+        with monkeypatch.context() as patch:
+            recording_cos_np(patch, fail_on=fail_on)
+            with pytest.raises(RuntimeError, match=f"cos failed on {fail_on}"):
+                apply_W_flow(f.copy(), 0.2, 0.1, DRIVEN, params)
+        got = apply_W_flow(f.copy(), 0.2, 0.1, DRIVEN, params)
         np.testing.assert_array_equal(got.values, want.values)

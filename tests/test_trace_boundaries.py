@@ -6,8 +6,10 @@ attributes of diracsplit (`schemes.step`, `schemes.apply_T_flow`,
 `Potential.sample_grid`, `WFlowCache.phases`, `harness.reference_solution`,
 `harness.error_metrics`, `cli.parse_config`).  A propagation routed around
 those names would still run but read 0 in the benchmark; these counts for
-n S6c steps (4 T and 5 W flows each), and for the CLI commands (the
-benchmark times `converge-time` and `superres`), catch that.
+n S6c steps, and for the CLI commands (the benchmark times `converge-time`
+and `superres`), catch that.  An n-step S6c run does 4n T flows; its W
+flows are 5n over a cached phase table and 4n + 1 over a sampled V, whose
+step boundaries merge.
 """
 
 import importlib.util
@@ -43,14 +45,14 @@ def _traced_main(argv):
 
 
 @pytest.mark.parametrize(
-    "make_problem, samplings",
+    "make_problem, w_flows, samplings",
     [
-        (lambda: gaussian_problem_1d(M=64), 1),
-        (lambda: honeycomb_problem("linear", M=16), 5 * N_STEPS),
+        (lambda: gaussian_problem_1d(M=64), 5 * N_STEPS, 1),
+        (lambda: honeycomb_problem("linear", M=16), 4 * N_STEPS + 1, 4 * N_STEPS + 1),
     ],
     ids=["static-1d", "driven-2d"],
 )
-def test_propagator_runs_inside_the_traced_layers(make_problem, samplings):
+def test_propagator_runs_inside_the_traced_layers(make_problem, w_flows, samplings):
     problem = make_problem()
     tracer = _tracer()
     tracer.install()
@@ -64,7 +66,7 @@ def test_propagator_runs_inside_the_traced_layers(make_problem, samplings):
     assert layers["schemes.step.calls"] == n
     assert layers["spectral.T_flow.calls"] == 4 * n
     assert layers["spectral.fft.calls"] == 8 * n
-    assert layers["spectral.W_flow.calls"] == 5 * n
+    assert layers["spectral.W_flow.calls"] == w_flows
     assert layers["spectral.build_cache.calls"] == 1
     assert layers["model.sample_grid.calls"] == samplings
 
