@@ -43,7 +43,11 @@ __all__ = [
 # twice as long split.  One sampled W flow at 2D M=256, linear theta (best of
 # 30, four runs), took 0.9-1.8 ms serially, about 70% of it cos/sin, and
 # 0.66-0.70 ms split; the hand-off costs about 0.1 ms, so the one threshold
-# serves both flows.
+# serves both flows.  The rotation and phase table builds split under the
+# same rule and allocate no temporaries: at 2D M=256 (best of 9x20 builds,
+# five runs) a rotation pair took 1.4 ms serially and 0.8-1.1 ms split,
+# against 4.2 ms from complex temporaries, and a phase table 0.75 ms
+# serially and 0.46-0.71 ms split.
 _SPLIT_MIN_POINTS = 1 << 15
 
 
@@ -121,15 +125,33 @@ class SpectralCache:
 
         A = cos(phi) - i sin(phi) n_z and B = -i sin(phi) (n_x - i n_y);
         the pair is computed once per distinct c*tau, shared by every flow
-        and stored read-only.
+        and stored read-only.  Every pass writes straight into A or B, with
+        A.imag as scratch for phi and B.real for -sin(phi), so the build
+        allocates nothing beyond the pair, and it splits across the helper
+        thread under the flows' rule (`_splits`).  At 2D M=256 one split
+        build took 0.8-1.1 ms, against 4.2 ms from complex temporaries
+        (2-core machine, best of 9x20 builds).
         """
         key = float(ctau)
         out = self._rotations.get(key)
         if out is None:
-            ph = key * self.phase_scale
-            s = np.sin(ph)
-            a = np.cos(ph) - 1.0j * s * self.nz
-            b = (-1.0j * s) * (self.nx - 1.0j * self.ny)
+            a = np.empty(self.phase_scale.shape, dtype=np.complex128)
+            b = np.empty_like(a)
+            flat = [x.reshape(-1) for x in (self.phase_scale, self.nx, self.ny, self.nz)]
+            a_re, a_im, b_re, b_im = (x.reshape(-1) for x in (a.real, a.imag, b.real, b.imag))
+
+            def part(lo: int, hi: int) -> None:
+                scale, nx, ny, nz = (x[lo:hi] for x in flat)
+                phi, minus_sin = a_im[lo:hi], b_re[lo:hi]
+                np.multiply(scale, key, out=phi)
+                np.cos(phi, out=a_re[lo:hi])
+                np.sin(phi, out=minus_sin)
+                np.negative(minus_sin, out=minus_sin)
+                np.multiply(minus_sin, nz, out=phi)
+                np.multiply(minus_sin, nx, out=b_im[lo:hi])
+                np.multiply(minus_sin, ny, out=minus_sin)
+
+            _by_halves(part, a.size, _splits(a.size, a))
             a.flags.writeable = False
             b.flags.writeable = False
             out = (a, b)
@@ -166,21 +188,34 @@ class WFlowCache:
         self._phases: dict[float, np.ndarray] = {}
 
     def phases(self, ctau: float) -> np.ndarray:
+        """The read-only table e^{-i c tau V/delta}, built once per distinct c*tau.
+
+        The build writes the phase into the table's imaginary part, cos
+        into its real part and sin in place, so it allocates nothing beyond
+        the table, and it splits across the helper thread under the flows'
+        rule (`_splits`).  At 2D M=256 one split build took 0.46-0.71 ms,
+        against 0.74 ms from a separate argument array (2-core machine,
+        best of 9x20 builds).
+        """
         key = float(ctau)
         out = self._phases.get(key)
         if out is None:
-            out = _unit_phase(-key * self._v_over_delta)
+            out = np.empty(self._v_over_delta.shape, dtype=np.complex128)
+            flat, v = out.reshape(-1), self._v_over_delta.reshape(-1)
+            _by_halves(lambda lo, hi: _unit_phase(flat, v, -key, lo, hi), flat.size,
+                       _splits(flat.size, out))
             out.flags.writeable = False
             self._phases[key] = out
         return out
 
 
-def _unit_phase(arg: np.ndarray) -> np.ndarray:
-    """e^{i arg} for real `arg`: cos and sin written into one complex array."""
-    out = np.empty(arg.shape, dtype=np.complex128)
-    np.cos(arg, out=out.real)
-    np.sin(arg, out=out.imag)
-    return out
+def _unit_phase(out: np.ndarray, values: np.ndarray, scale: float, lo: int, hi: int) -> None:
+    """Write e^{i scale values} into out[lo:hi], both flat: the argument into
+    the imaginary part, its cos into the real part, then its sin in place."""
+    arg = out.imag[lo:hi]
+    np.multiply(values[lo:hi], scale, out=arg)
+    np.cos(arg, out=out.real[lo:hi])
+    np.sin(arg, out=arg)
 
 
 def _check_grids(field: Field, grid: Grid) -> None:
@@ -190,7 +225,7 @@ def _check_grids(field: Field, grid: Grid) -> None:
 
 @functools.cache
 def _helper_pool() -> ThreadPoolExecutor:
-    """The one helper thread of the split T and sampled W flows, started on first use."""
+    """The one helper thread of the split flows and table builds, started on first use."""
     return ThreadPoolExecutor(max_workers=1, thread_name_prefix="diracsplit-T-flow")
 
 
@@ -203,12 +238,13 @@ def _usable_cpus() -> int:
 
 def _splits(component_size: int, values: np.ndarray) -> bool:
     """Whether a flow of `values`, `component_size` points per spinor
-    component, uses the helper thread.
+    component, or the build of a table `values` of `component_size`
+    points, uses the helper thread.
 
-    Only for a contiguous field whose component has at least
-    _SPLIT_MIN_POINTS points, called from the main thread, with at least
-    two usable CPUs: a study's pool threads (workers > 1) already own the
-    cores, so their flows stay serial.
+    Only for a contiguous array with at least _SPLIT_MIN_POINTS points per
+    component, called from the main thread, with at least two usable
+    CPUs: a study's pool threads (workers > 1) already own the cores, so
+    their flows and builds stay serial.
     """
     return (component_size >= _SPLIT_MIN_POINTS
             and values.flags.c_contiguous
@@ -220,6 +256,25 @@ def _half(n: int) -> int:
     """Where a split flow cuts n points: on a multiple of 64, so the vector
     loops see each part's elements at the offsets they have in the whole."""
     return n // 128 * 64
+
+
+def _by_halves(part: Callable[[int, int], None], n: int, split: bool) -> None:
+    """Run part(0, n), or, when `split`, part(0, half) on the calling thread
+    and part(half, n) on the helper thread, cut at `_half`.  `part` fills
+    or updates points lo:hi of flat arrays.  The helper's share is always
+    waited for, so no write outlives the call, and an error of either
+    share is raised here."""
+    if not split:
+        part(0, n)
+        return
+    half = _half(n)
+    job = _helper_pool().submit(part, half, n)
+    try:
+        part(0, half)
+    finally:
+        error = job.exception()
+    if error is not None:
+        raise error
 
 
 def _flow_part(x: np.ndarray, axes: tuple[int, ...], shape: tuple[int, ...],
@@ -322,10 +377,11 @@ def apply_W_flow(
     potential and delta.
 
     A sampled phase (no `wcache`) splits like a T flow, under the same
-    rule: V is sampled once on the calling thread into one phase array,
-    and the caller and the helper thread each write cos/sin of their part
-    of the grid (the row-major points, cut at a row for 2D M=256) and
-    multiply those points of every component and member.  Every value is
+    rule: V is sampled once on the calling thread, which allocates the one
+    phase array, and the caller and the helper thread each write the
+    argument, cos and sin of their part of the grid (the row-major points,
+    cut at a row for 2D M=256) straight into it and multiply those points
+    of every component and member.  Every value is
     computed as in the serial flow, so the result is bitwise the same.  A
     cached phase is one multiply and never splits.
     """
@@ -339,31 +395,16 @@ def apply_W_flow(
         field.values *= wcache.phases(ctau)
         return field
     v = field.values
-    grid_v = potential.sample_grid(t_eval, field.grid)
+    grid_v = potential.sample_grid(t_eval, field.grid).reshape(-1)
     scale = -float(ctau) / params.delta
-    if not _splits(v.size // 2, v):
-        v *= _unit_phase(grid_v * scale)
-        return field
     n = grid_v.size
-    points, grid_v = v.reshape(*v.shape[:-field.grid.dim], n), grid_v.reshape(n)
+    # a view: the values of a SpinorField or SpinorBatch are C-contiguous
+    points = v.reshape(*v.shape[:-field.grid.dim], n)
     phase = np.empty(n, dtype=np.complex128)
-    half = _half(n)
-    job = _helper_pool().submit(_w_part, points, grid_v, scale, phase, half, n)
-    try:
-        _w_part(points, grid_v, scale, phase, 0, half)
-    finally:
-        error = job.exception()
-    if error is not None:
-        raise error
+
+    def part(lo: int, hi: int) -> None:
+        _unit_phase(phase, grid_v, scale, lo, hi)
+        points[..., lo:hi] *= phase[lo:hi]
+
+    _by_halves(part, n, _splits(v.size // 2, v))
     return field
-
-
-def _w_part(points: np.ndarray, grid_v: np.ndarray, scale: float, phase: np.ndarray,
-            lo: int, hi: int) -> None:
-    """One thread's share of a split W flow: the phase e^{i scale V} of grid
-    points lo:hi, written into `phase`, then those points of `points`
-    (the field's values with the grid axes flattened) multiplied by it."""
-    arg = grid_v[lo:hi] * scale
-    np.cos(arg, out=phase.real[lo:hi])
-    np.sin(arg, out=phase.imag[lo:hi])
-    points[..., lo:hi] *= phase[lo:hi]

@@ -45,7 +45,7 @@ def cache_dir(tmp_path):
 
 @pytest.fixture
 def helper_jobs(monkeypatch):
-    """The names of the threads that hand a split T flow's share to the helper."""
+    """The names of the threads that hand a share of a split flow or table build to the helper."""
     from diracsplit import spectral
 
     jobs = []

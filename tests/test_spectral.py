@@ -88,6 +88,19 @@ def dense_T_matrix(params, grid):
     return T
 
 
+def plain_rotation(cache, ctau):
+    """The rotation pair (A, B) from complex temporaries, the table builder's oracle."""
+    ph = float(ctau) * cache.phase_scale
+    s = np.sin(ph)
+    return np.cos(ph) - 1.0j * s * cache.nz, (-1.0j * s) * (cache.nx - 1.0j * cache.ny)
+
+
+def plain_phases(potential, grid, params, ctau):
+    """The W phase table e^{-i c tau V/delta} from cos and sin of a fresh argument."""
+    arg = -float(ctau) * (potential.sample_grid(0.0, grid) / params.delta)
+    return np.cos(arg) + 1.0j * np.sin(arg)
+
+
 def plain_T_flow(field, ctau, cache):
     """Closed-form e^{c tau T} without tables or in-place FFTs: the oracle.
 
@@ -431,8 +444,13 @@ class TestWFlow:
     @pytest.mark.parametrize("ctau", [0.0, -0.37, 250.0, 1.0 / 64.0])
     def test_unit_phase_matches_complex_exp(self, ctau):
         g = make_grid(2, -8.0, 8.0, 64)
-        arg = honeycomb_potential("linear").sample_grid(0.3, g) * (-ctau)
-        np.testing.assert_allclose(_unit_phase(arg), np.exp(1j * arg), rtol=0.0, atol=1e-15)
+        v = honeycomb_potential("linear").sample_grid(0.3, g).reshape(-1)
+        arg = v * (-ctau)
+        out = np.empty(v.size, dtype=np.complex128)
+        half = spectral._half(v.size)
+        _unit_phase(out, v, -ctau, half, v.size)  # each range is written on its own
+        _unit_phase(out, v, -ctau, 0, half)
+        np.testing.assert_allclose(out, np.exp(1j * arg), rtol=0.0, atol=1e-15)
 
     def test_uncached_flow_leaves_the_table_alone(self, grid1d, params, rng):
         p = custom_sampled_potential(grid1d, rng.standard_normal(grid1d.shape))
@@ -598,9 +616,10 @@ class TestSplitTFlow:
             return g
 
         split = flows()
-        assert helper_jobs == ["MainThread"] * len(SPLIT_CTAUS)
+        # each flow first builds its c*tau's rotation pair, which splits too
+        assert helper_jobs == ["MainThread"] * 2 * len(SPLIT_CTAUS)
         serial = on_worker_thread(flows)
-        assert len(helper_jobs) == len(SPLIT_CTAUS)
+        assert len(helper_jobs) == 2 * len(SPLIT_CTAUS)
         np.testing.assert_array_equal(split.values, serial.values)
         assert abs(mass(split) - mass(f)) / mass(f) <= 1e-12
 
@@ -616,7 +635,7 @@ class TestSplitTFlow:
             return batch
 
         split = flows()
-        assert len(helper_jobs) == len(SPLIT_CTAUS)
+        assert len(helper_jobs) == 2 * len(SPLIT_CTAUS)  # a table build and a flow per c*tau
         serial = on_worker_thread(flows)
         np.testing.assert_array_equal(split.values, serial.values)
         for got, f in zip(split.members(), fields):
@@ -633,9 +652,11 @@ class TestSplitTFlow:
             return propagator.run(start.copy(), 0.0, 4)
 
         split = run()
-        # four T flows per step, and with a sampled V the 4n + 1 W flows of
-        # a merged 4-step run
-        assert len(helper_jobs) == 16 + (17 if theta == "linear" else 0)
+        # four T flows per step over the rotation pairs of their two distinct
+        # c*tau; with a constant V the phase tables of the three distinct W
+        # coefficients, and with a sampled V the 4n + 1 W flows of a merged
+        # 4-step run
+        assert len(helper_jobs) == 16 + 2 + (17 if theta == "linear" else 3)
         serial = on_worker_thread(run)
         np.testing.assert_array_equal(split.values, serial.values)
         assert abs(mass(split) - mass(start)) / mass(start) <= 1e-12
@@ -783,10 +804,12 @@ class TestSplitWFlow:
             want = on_worker_thread(lambda f=f: self.flows(f.copy(), params))
             np.testing.assert_array_equal(got.values, want.values)
 
-    def test_cached_phase_never_splits(self, rng, helper_jobs):
+    def test_cached_flow_never_splits_once_its_table_exists(self, rng, helper_jobs):
         params = PhysParams()
         static = honeycomb_potential("constant")
         wcache = WFlowCache(static, GRID_256, params)
+        wcache.phases(0.3)
+        helper_jobs.clear()
         apply_W_flow(random_field(GRID_256, rng), 0.3, 0.0, static, params, wcache)
         assert helper_jobs == []
 
@@ -816,3 +839,91 @@ class TestSplitWFlow:
                 apply_W_flow(f.copy(), 0.2, 0.1, DRIVEN, params)
         got = apply_W_flow(f.copy(), 0.2, 0.1, DRIVEN, params)
         np.testing.assert_array_equal(got.values, want.values)
+
+
+TABLE_CTAUS = (0.0, -0.37, 250.0, 1.0 / 64.0)
+TABLE_PARAMS = PhysParams(delta=0.7, nu=0.9, epsilon=0.6)
+TABLE_SETUPS = [
+    pytest.param((1, 512, 1, False), id="1d-M512"),
+    pytest.param((2, 64, 1, False), id="2d-M64"),
+    pytest.param((2, 256, 1, False), id="2d-M256-split"),
+    pytest.param((2, 256, 1, True), id="2d-M256-worker"),
+    pytest.param((2, 256, 3, False), id="2d-M256-batch3"),
+]
+
+
+def static_potential(grid):
+    return rational_potential_1d() if grid.dim == 1 else honeycomb_potential("constant")
+
+
+class TestTableBuilds:
+    """The rotation pair and the W phase table are built in place, split
+    across the helper thread under the flows' rule, and equal, bit for bit,
+    the tables formed from temporaries."""
+
+    @pytest.mark.parametrize("setup", TABLE_SETUPS)
+    def test_rotation_equals_plain_rotation(self, setup):
+        dim, M, k, on_worker = setup
+        grid = make_grid(dim, -8.0, 8.0, M)
+        members = [replace(TABLE_PARAMS, epsilon=e) for e in (0.6, 0.3, 1.0)[:k]]
+        cache = SpectralCache(members, grid)
+        for ctau in TABLE_CTAUS:
+            a, b = on_worker_thread(lambda: cache.rotation(ctau)) if on_worker else cache.rotation(ctau)
+            want_a, want_b = plain_rotation(cache, ctau)
+            np.testing.assert_array_equal(a, want_a)
+            np.testing.assert_array_equal(b, want_b)
+            assert not a.flags.writeable and not b.flags.writeable
+
+    @pytest.mark.parametrize("setup", TABLE_SETUPS[:-1])  # a W table has no batch axis
+    def test_phases_equal_plain_phases(self, setup):
+        dim, M, _, on_worker = setup
+        grid = make_grid(dim, -8.0, 8.0, M)
+        potential = static_potential(grid)
+        wcache = WFlowCache(potential, grid, TABLE_PARAMS)
+        for ctau in TABLE_CTAUS:
+            got = on_worker_thread(lambda: wcache.phases(ctau)) if on_worker else wcache.phases(ctau)
+            np.testing.assert_array_equal(got, plain_phases(potential, grid, TABLE_PARAMS, ctau))
+            assert not got.flags.writeable
+
+    def test_a_first_build_hands_off_one_job_and_a_repeat_none(self, helper_jobs):
+        cache = SpectralCache(PhysParams(), GRID_256)
+        wcache = WFlowCache(honeycomb_potential("constant"), GRID_256, PhysParams())
+        for build in (cache.rotation, wcache.phases):
+            helper_jobs.clear()
+            build(0.3)
+            assert helper_jobs == ["MainThread"]
+            build(0.3)
+            assert helper_jobs == ["MainThread"]
+
+    @pytest.mark.parametrize("M, where", [(256, "pool-thread"), (256, "one-cpu"),
+                                          (32, "main"), (64, "main"), (128, "main")])
+    def test_builds_that_never_split(self, M, where, helper_jobs, monkeypatch):
+        grid = make_grid(2, -8.0, 8.0, M)
+        cache = SpectralCache(PhysParams(), grid)
+        wcache = WFlowCache(honeycomb_potential("constant"), grid, PhysParams())
+        if where == "one-cpu":
+            monkeypatch.setattr(spectral, "_usable_cpus", lambda: 1)
+        for build in (cache.rotation, wcache.phases):
+            if where == "pool-thread":
+                on_worker_thread(lambda: build(0.3))
+            else:
+                build(0.3)
+        assert helper_jobs == []
+
+    @pytest.mark.parametrize("fail_on", ["MainThread", "diracsplit-T-flow_0"])
+    def test_a_failing_half_raises_and_stores_no_table(self, fail_on, monkeypatch):
+        cache = SpectralCache(TABLE_PARAMS, GRID_256)
+        potential = honeycomb_potential("constant")
+        wcache = WFlowCache(potential, GRID_256, TABLE_PARAMS)
+        cache.rotation(0.1)  # the helper thread exists and has its name
+        with monkeypatch.context() as patch:
+            recording_cos_np(patch, fail_on=fail_on)
+            with pytest.raises(RuntimeError, match=f"cos failed on {fail_on}"):
+                cache.rotation(0.3)
+            with pytest.raises(RuntimeError, match=f"cos failed on {fail_on}"):
+                wcache.phases(0.3)
+        assert 0.3 not in cache._rotations and 0.3 not in wcache._phases
+        for got, want in zip(cache.rotation(0.3), plain_rotation(cache, 0.3)):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(wcache.phases(0.3),
+                                      plain_phases(potential, GRID_256, TABLE_PARAMS, 0.3))
