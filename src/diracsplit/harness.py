@@ -71,7 +71,9 @@ class Problem:
             raise ValueError(f"t_start must be finite, got {self.t_start!r}")
 
     def initial_digest(self) -> str:
-        return hashlib.sha256(self.initial.values.tobytes()).hexdigest()
+        # the SHA-256 of values.tobytes(), hashed through the buffer of the
+        # C-contiguous values rather than a copy of them
+        return hashlib.sha256(self.initial.values).hexdigest()
 
     def describe(self) -> list[tuple[str, str]]:
         """Key-value lines identifying the problem exactly (hex floats)."""
@@ -278,7 +280,7 @@ def reference_key(problem: Problem, t_final: float, protocol: ReferenceProtocol)
     return _header_key(_reference_header(problem, t_final, protocol))
 
 
-def _reference_head(header: list[tuple[str, str]], payload: bytes) -> bytes:
+def _reference_head(header: list[tuple[str, str]], payload: bytes | memoryview) -> bytes:
     """Everything before the payload of a reference file: the magic line,
     the header lines, the payload's SHA-256 and size, and a blank line."""
     lines = [CACHE_MAGIC, *(f"{k}: {v}" for k, v in header),
@@ -296,15 +298,27 @@ def _write_reference(path: Path, header: list[tuple[str, str]], values: np.ndarr
 
 def _read_reference(path: Path, header: list[tuple[str, str]], shape: tuple[int, ...]) -> Optional[np.ndarray]:
     """Read a cache file: a miss (None) unless its head is byte for byte the
-    one `_write_reference` writes for this header and payload."""
+    one `_write_reference` writes for this header and payload.
+
+    The file is read once: the head line by line up to its first blank
+    line, then the payload straight into the aligned, writable buffer of
+    the array that is returned."""
     try:
-        blob = path.read_bytes()
+        with path.open("rb") as fh:
+            lines = []
+            for line in fh:
+                lines.append(line)
+                if line == b"\n":
+                    break
+            head = b"".join(lines)
+            payload = np.empty(os.fstat(fh.fileno()).st_size - len(head), dtype=np.uint8)
+            if fh.readinto(payload) != payload.size:
+                return None
     except OSError:
         return None
-    head, blank, payload = blob.partition(b"\n\n")
-    if head + blank != _reference_head(header, payload):
+    if head != _reference_head(header, memoryview(payload)):
         return None
-    values = np.frombuffer(payload, dtype="<c16").astype(np.complex128)
+    values = np.frombuffer(payload, dtype="<c16").astype(np.complex128, copy=False)
     return values.reshape(shape)
 
 

@@ -42,12 +42,13 @@ __all__ = [
 # (2D M=256) about 2x faster; 4096 (2D M=64, a 1D M=1024 batch of 4) took
 # twice as long split.  One sampled W flow at 2D M=256, linear theta (best of
 # 30, four runs), took 0.9-1.8 ms serially, about 70% of it cos/sin, and
-# 0.66-0.70 ms split; the hand-off costs about 0.1 ms, so the one threshold
-# serves both flows.  The rotation and phase table builds split under the
-# same rule and allocate no temporaries: at 2D M=256 (best of 9x20 builds,
-# five runs) a rotation pair took 1.4 ms serially and 0.8-1.1 ms split,
-# against 4.2 ms from complex temporaries, and a phase table 0.75 ms
-# serially and 0.46-0.71 ms split.
+# 0.66-0.70 ms split.  An empty hand-off (`_in_parallel` of two no-ops,
+# median of 2000, five runs) takes 17-28 us, and a split T flow makes three
+# of them, so the one threshold serves both flows.  The rotation and phase
+# table builds split under the same rule and allocate no temporaries: at 2D
+# M=256 (best of 9x20 builds, five runs) a rotation pair took 1.4 ms
+# serially and 0.8-1.1 ms split, against 4.2 ms from complex temporaries,
+# and a phase table 0.75 ms serially and 0.46-0.71 ms split.
 _SPLIT_MIN_POINTS = 1 << 15
 
 
@@ -258,60 +259,44 @@ def _half(n: int) -> int:
     return n // 128 * 64
 
 
-def _by_halves(part: Callable[[int, int], None], n: int, split: bool) -> None:
-    """Run part(0, n), or, when `split`, part(0, half) on the calling thread
-    and part(half, n) on the helper thread, cut at `_half`.  `part` fills
-    or updates points lo:hi of flat arrays.  The helper's share is always
-    waited for, so no write outlives the call, and an error of either
-    share is raised here."""
-    if not split:
-        part(0, n)
-        return
-    half = _half(n)
-    job = _helper_pool().submit(part, half, n)
+def _in_parallel(first: Callable[[], None], second: Callable[[], None]) -> None:
+    """Run first() on the calling thread and second() on the helper thread,
+    the one way work reaches the helper.  Both are always waited for, so no
+    write outlives the call, and an error of either is raised here (first's,
+    when both fail)."""
+    job = _helper_pool().submit(second)
     try:
-        part(0, half)
+        first()
     finally:
         error = job.exception()
     if error is not None:
         raise error
 
 
-def _flow_part(x: np.ndarray, axes: tuple[int, ...], shape: tuple[int, ...],
-               u1: np.ndarray, u2: np.ndarray, a: np.ndarray, b: np.ndarray,
-               barrier: Optional[threading.Barrier]) -> None:
-    """One thread's share of a T flow: transform x, mix the modes u1, u2 with
-    the tables a, b, transform x back.
+def _by_halves(part: Callable[[int, int], None], n: int, split: bool) -> None:
+    """Run part(0, n), or, when `split`, part(0, half) on the calling thread
+    and part(half, n) on the helper thread, cut at `_half`.  `part` fills
+    or updates points lo:hi of flat arrays."""
+    if not split:
+        part(0, n)
+        return
+    half = _half(n)
+    _in_parallel(lambda: part(0, half), lambda: part(half, n))
 
-    Serial, x is the whole spinor and (u1, u2) its two components.  Split,
-    x is one component and (u1, u2) a range of both flat spectra, and
-    `barrier` holds each thread until both spectra, then both halves of the
-    mixing, are complete.
-    """
-    try:
-        # An explicit s= skips numpy's per-call shape inference; fftn/ifftn, not fft2/ifft2 (below).
-        np.fft.fftn(x, s=shape, axes=axes, out=x)
-        if barrier is not None:
-            barrier.wait()
-        # new1 = A u1 + B u2 and new2 = conj(A u2* - B u1*), so conj(A) and
-        # conj(B) are never formed.
-        bu2 = b * u2
-        bu1c = np.conjugate(u1)
-        bu1c *= b
-        u1 *= a
-        u1 += bu2
-        np.conjugate(u2, out=u2)
-        u2 *= a
-        u2 -= bu1c
-        np.conjugate(u2, out=u2)
-        if barrier is not None:
-            barrier.wait()
-        # ifftn, not ifft2: numpy 2.4.6's ifft2 drops out=, so ifft2(v, out=v) leaves v untouched.
-        np.fft.ifftn(x, s=shape, axes=axes, out=x)
-    except BaseException:
-        if barrier is not None:
-            barrier.abort()  # release the other thread rather than leave it waiting
-        raise
+
+def _mix(u1: np.ndarray, u2: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """Mix the spectra u1, u2 in place by [[A, B], [-conj B, conj A]]:
+    new1 = A u1 + B u2 and new2 = conj(A u2* - B u1*), so conj(A) and
+    conj(B) are never formed."""
+    bu2 = b * u2
+    bu1c = np.conjugate(u1)
+    bu1c *= b
+    u1 *= a
+    u1 += bu2
+    np.conjugate(u2, out=u2)
+    u2 *= a
+    u2 -= bu1c
+    np.conjugate(u2, out=u2)
 
 
 def apply_T_flow(field: Field, ctau: float, cache: SpectralCache) -> Field:
@@ -324,39 +309,40 @@ def apply_T_flow(field: Field, ctau: float, cache: SpectralCache) -> Field:
     two temporaries (one component each) belong to the call, never to the
     cache, so one cache can serve several threads.
 
-    Called from the main thread, with at least two usable CPUs, on a
-    component of at least _SPLIT_MIN_POINTS points (2D M=256; not 2D
-    M=128 or the 1D grids of the studies), the flow splits: the main
-    thread transforms component 0 and the helper thread component 1, each
-    mixes half of the flat spectra, and each transforms its component
-    back.  Every value is computed as in the serial flow, so the result
-    is bitwise the same.  A flow on any other thread, such as a study
-    pool's, runs serially.
+    The flow runs in three steps: transform, mix, transform back.  Called
+    from the main thread, with at least two usable CPUs, on a component of
+    at least _SPLIT_MIN_POINTS points (2D M=256; not 2D M=128 or the 1D
+    grids of the studies), each step is one hand-off through
+    `_in_parallel`: the caller transforms component 0 while the helper
+    thread transforms component 1, each mixes half of the flat spectra,
+    and each transforms its component back.  Every value is computed as in
+    the serial flow, one `fftn` and one `ifftn` of the whole spinor, so the
+    result is bitwise the same.  A flow on any other thread, such as a
+    study pool's, runs serially.
     """
     _check_grids(field, cache.grid)
     v = field.values
     if v.shape != cache._values_shape:
         raise ValueError(f"field values {v.shape} do not match the cache's {cache._values_shape}")
     a, b = cache.rotation(ctau)
-    shape = cache._shape
+    shape, axes = cache._shape, cache._axes
     if not _splits(cache._component_size, v):
-        _flow_part(v, cache._axes, shape, v[0], v[1], a, b, None)
+        # An explicit s= skips numpy's per-call shape inference; fftn/ifftn, not fft2/ifft2 (below).
+        np.fft.fftn(v, s=shape, axes=axes, out=v)
+        _mix(v[0], v[1], a, b)
+        # ifftn, not ifft2: numpy 2.4.6's ifft2 drops out=, so ifft2(v, out=v) leaves v untouched.
+        np.fft.ifftn(v, s=shape, axes=axes, out=v)
         return field
-    axes = tuple(axis - 1 for axis in cache._axes)  # the axes of one component
+    axes = tuple(axis - 1 for axis in axes)  # the axes of one component
+
+    def transform(fft: Callable[..., np.ndarray]) -> None:
+        _in_parallel(*(functools.partial(fft, u, s=shape, axes=axes, out=u) for u in v))
+
+    transform(np.fft.fftn)
     flat, a, b = v.reshape(2, -1), a.reshape(-1), b.reshape(-1)
-    half = _half(flat.shape[1])
-    barrier = threading.Barrier(2)
-    job = _helper_pool().submit(_flow_part, v[1], axes, shape, flat[0, half:], flat[1, half:],
-                                a[half:], b[half:], barrier)
-    try:
-        _flow_part(v[0], axes, shape, flat[0, :half], flat[1, :half], a[:half], b[:half],
-                   barrier)
-    except threading.BrokenBarrierError:
-        pass  # the helper's share failed; its error is raised below
-    finally:
-        error = job.exception()
-    if error is not None:
-        raise error
+    _by_halves(lambda lo, hi: _mix(flat[0, lo:hi], flat[1, lo:hi], a[lo:hi], b[lo:hi]),
+               flat.shape[1], True)
+    transform(np.fft.ifftn)
     return field
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
 import types
 from fractions import Fraction
@@ -20,6 +21,7 @@ from diracsplit.harness import (
     Problem,
     ReferenceProtocol,
     SweepSpec,
+    _read_reference,
     _reference_header,
     _run_cells,
     _solve,
@@ -188,6 +190,12 @@ class TestProblemBundles:
         s = gaussian_problem_1d(a=-8.0, b=8.0, M=32)
         assert s.initial_digest() != p.initial_digest()
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_initial_digest_is_the_sha256_of_the_value_bytes(self, dim):
+        p = small_problem(32) if dim == 1 else honeycomb_problem("constant", M=32)
+        want = hashlib.sha256(p.initial.values.tobytes()).hexdigest()
+        assert p.initial_digest() == want
+
     def test_describe_is_exact_and_ordered(self):
         p = small_problem(32)
         keys = [k for k, _ in p.describe()]
@@ -267,6 +275,19 @@ class TestReferenceCache:
         _write_reference(files[0], _reference_header(p, 0.2, proto), first.values * 2.0)
         again = reference_solution(p, 0.2, proto, cache_dir=tmp_path)
         np.testing.assert_array_equal(again.values, first.values * 2.0)
+
+    def test_a_hit_is_the_written_values_and_writable(self, tmp_path):
+        p = honeycomb_problem("constant", M=32)
+        proto = ReferenceProtocol(scheme="S2", tau=0.05)
+        header = _reference_header(p, 0.2, proto)
+        written = p.initial.values * (0.5 - 2.0j)
+        path = tmp_path / "one.ref"
+        _write_reference(path, header, written)
+        got = _read_reference(path, header, written.shape)
+        np.testing.assert_array_equal(got, written)
+        assert got.dtype == np.complex128 and got.flags.writeable and got.flags.aligned
+        got[...] = 0.0  # the array owns its buffer: the file is untouched
+        np.testing.assert_array_equal(_read_reference(path, header, written.shape), written)
 
     def test_corrupt_payload_is_recomputed(self, tmp_path):
         p = small_problem(32)

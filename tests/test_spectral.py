@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import time
 import types
 from dataclasses import replace
 
@@ -324,11 +325,19 @@ class TestTFlowFastPath:
             np.testing.assert_array_equal(got.values, want.values)
 
 
-def recording_np(monkeypatch, fail_on=None):
+def recording_np(monkeypatch, fail_on=None, failing="fftn"):
     """Put a proxy in place of spectral.np that records each transform as
-    (name, input shape, axes, s, thread name); a transform on the thread
-    named `fail_on` raises instead."""
+    (name, input shape, axes, s, thread name).  The call `failing` (a
+    transform or "conjugate") on the thread named `fail_on` raises instead,
+    and on any other thread first sleeps 50 ms, so its share is still
+    running when the failing one raises."""
     calls = []
+
+    def fail_or_slow(name, thread):
+        if name == failing and fail_on is not None:
+            if thread == fail_on:
+                raise RuntimeError(f"{name} failed on {thread}")
+            time.sleep(0.05)
 
     def recorded(name):
         fn = getattr(np.fft, name)
@@ -336,15 +345,19 @@ def recording_np(monkeypatch, fail_on=None):
         def call(a, *args, **kwargs):
             thread = threading.current_thread().name
             calls.append((name, np.shape(a), tuple(kwargs["axes"]), tuple(kwargs["s"]), thread))
-            if thread == fail_on:
-                raise RuntimeError(f"{name} failed on {thread}")
+            fail_or_slow(name, thread)
             return fn(a, *args, **kwargs)
 
         return call
 
+    def conjugate(*args, **kwargs):
+        fail_or_slow("conjugate", threading.current_thread().name)
+        return np.conjugate(*args, **kwargs)
+
     proxy = types.ModuleType("numpy")
     proxy.__dict__.update(np.__dict__)
     proxy.fft = types.SimpleNamespace(fftn=recorded("fftn"), ifftn=recorded("ifftn"))
+    proxy.conjugate = conjugate
     monkeypatch.setattr(spectral, "np", proxy)
     return calls
 
@@ -616,10 +629,11 @@ class TestSplitTFlow:
             return g
 
         split = flows()
-        # each flow first builds its c*tau's rotation pair, which splits too
-        assert helper_jobs == ["MainThread"] * 2 * len(SPLIT_CTAUS)
+        # each flow first builds its c*tau's rotation pair, which splits too,
+        # then hands off its transform, mixing and inverse transform
+        assert helper_jobs == ["MainThread"] * 4 * len(SPLIT_CTAUS)
         serial = on_worker_thread(flows)
-        assert len(helper_jobs) == 2 * len(SPLIT_CTAUS)
+        assert len(helper_jobs) == 4 * len(SPLIT_CTAUS)
         np.testing.assert_array_equal(split.values, serial.values)
         assert abs(mass(split) - mass(f)) / mass(f) <= 1e-12
 
@@ -635,7 +649,8 @@ class TestSplitTFlow:
             return batch
 
         split = flows()
-        assert len(helper_jobs) == 2 * len(SPLIT_CTAUS)  # a table build and a flow per c*tau
+        # per c*tau a table build and the three steps of a flow
+        assert len(helper_jobs) == 4 * len(SPLIT_CTAUS)
         serial = on_worker_thread(flows)
         np.testing.assert_array_equal(split.values, serial.values)
         for got, f in zip(split.members(), fields):
@@ -652,11 +667,11 @@ class TestSplitTFlow:
             return propagator.run(start.copy(), 0.0, 4)
 
         split = run()
-        # four T flows per step over the rotation pairs of their two distinct
-        # c*tau; with a constant V the phase tables of the three distinct W
-        # coefficients, and with a sampled V the 4n + 1 W flows of a merged
-        # 4-step run
-        assert len(helper_jobs) == 16 + 2 + (17 if theta == "linear" else 3)
+        # three steps for each of the four T flows per step, the rotation
+        # pairs of their two distinct c*tau; with a constant V the phase
+        # tables of the three distinct W coefficients, and with a sampled V
+        # the 4n + 1 W flows of a merged 4-step run
+        assert len(helper_jobs) == 3 * 16 + 2 + (17 if theta == "linear" else 3)
         serial = on_worker_thread(run)
         np.testing.assert_array_equal(split.values, serial.values)
         assert abs(mass(split) - mass(start)) / mass(start) <= 1e-12
@@ -725,20 +740,40 @@ class TestSplitTFlow:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        assert helper_jobs == ["MainThread"] * 3 * len(SPLIT_CTAUS)
+        # three rounds of flows, three steps each; the pool threads built the tables
+        assert helper_jobs == ["MainThread"] * 3 * 3 * len(SPLIT_CTAUS)
         for got, want in zip(results, serial):
             np.testing.assert_array_equal(got.values, want.values)
 
-    @pytest.mark.parametrize("fail_on", ["MainThread", "diracsplit-T-flow_0"])
-    def test_a_failing_share_raises_and_the_next_flow_runs(self, fail_on, rng, monkeypatch):
+    @pytest.mark.parametrize("failing, fail_on", [
+        # the id is the failing thread, prefixed by the failing call unless
+        # that is the forward transform
+        pytest.param(failing, fail_on, id=fail_on if failing == "fftn" else f"{failing}-{fail_on}")
+        for failing in ("fftn", "conjugate", "ifftn")
+        for fail_on in ("MainThread", "diracsplit-T-flow_0")
+    ])
+    def test_a_failing_share_raises_and_the_next_flow_runs(self, failing, fail_on, rng,
+                                                           monkeypatch):
+        # the transform, the mixing or the inverse transform fails on one
+        # thread while the other thread's share of that step runs on
         cache = SpectralCache(PhysParams(), GRID_256)
         f = random_field(GRID_256, rng)
         want = on_worker_thread(lambda: apply_T_flow(f.copy(), 0.2, cache))
         apply_T_flow(f.copy(), 0.2, cache)  # the helper thread exists and has its name
+        jobs = []
+        pool = spectral._helper_pool
+
+        class Keeping:
+            def submit(self, *args, **kwargs):
+                jobs.append(pool().submit(*args, **kwargs))
+                return jobs[-1]
+
         with monkeypatch.context() as patch:
-            recording_np(patch, fail_on=fail_on)
-            with pytest.raises(RuntimeError, match=f"fftn failed on {fail_on}"):
+            patch.setattr(spectral, "_helper_pool", Keeping)
+            recording_np(patch, fail_on=fail_on, failing=failing)
+            with pytest.raises(RuntimeError, match=f"{failing} failed on {fail_on}"):
                 apply_T_flow(f.copy(), 0.2, cache)
+            assert jobs and all(job.done() for job in jobs)  # no share outlives the call
         got = apply_T_flow(f.copy(), 0.2, cache)
         np.testing.assert_array_equal(got.values, want.values)
 
