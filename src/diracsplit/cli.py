@@ -44,7 +44,7 @@ from .lie import (
     quadruple_identity_check,
     vanishing_commutators,
 )
-from .lie.conditions import _exact_residuals
+from .lie.conditions import _RESIDUAL_TOL, _exact_residuals
 from .model import mass
 from .schemes import catalog, op_count
 
@@ -275,7 +275,7 @@ def _superres(cfg: RunConfig, _state_out: None) -> _RunOutput:
 
 
 def _cmd_coeffs(args) -> int:
-    tol = 1e-13
+    tol = _RESIDUAL_TOL
     if args.verify:
         names = ("c0", "c1", "c2", "c3", "c4")
         frozen = frozen_coefficients()

@@ -57,6 +57,10 @@ CONDITION_BASIS = ("T", "W", "[T,W,T]", "[T,T,T,T,W]", "[W,T,T,T,W]")
 
 _TARGETS = (Fraction(1), Fraction(1), Fraction(0), Fraction(0), Fraction(0))
 
+# Newton's residual bound (`coeffs` bounds the frozen constants by it too) and budget.
+_RESIDUAL_TOL = 1e-13
+_MAX_ITER = 100
+
 
 @lru_cache(maxsize=1)
 def expansion_stages() -> tuple[LieElement, LieElement, LieElement, LieElement]:
@@ -244,37 +248,32 @@ def _polish(polys: Sequence[Poly], jac, x: list[float], max_rounds: int = 6) -> 
     return x
 
 
-def newton_solve(
-    initial: Sequence[float],
-    tol: float = 1e-13,
-    max_iter: int = 100,
-) -> NewtonResult:
-    """Damped Newton iteration on the five order conditions.
+def newton_solve(initial: Sequence[float]) -> NewtonResult:
+    """Damped Newton iteration on the five order conditions, to a maximum
+    residual of _RESIDUAL_TOL within _MAX_ITER iterations.
 
     The Jacobian is the exact polynomial derivative evaluated in double
     precision; residuals at the final iterate are confirmed by exact
     rational evaluation.  A singular Jacobian or a failed line search is
     reported, not raised.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
     if len(initial) != 5:
         raise ValueError(f"initial point must have 5 components, got {len(initial)}")
     polys = order_conditions()
     jac = [[p.diff(j) for j in range(5)] for p in polys]
 
     x = [float(v) for v in initial]
-    message = f"no convergence within {max_iter} iterations"
+    message = f"no convergence within {_MAX_ITER} iterations"
     converged = False
     iterations = 0
-    for iterations in range(max_iter + 1):
+    for iterations in range(_MAX_ITER + 1):
         f = _residuals(polys, x)
         norm = max(abs(v) for v in f)
-        if norm <= tol:
+        if norm <= _RESIDUAL_TOL:
             converged = True
             message = "converged"
             break
-        if iterations == max_iter:
+        if iterations == _MAX_ITER:
             break
         dx = _newton_step(jac, x, f)
         if dx is None:

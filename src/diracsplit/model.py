@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -110,7 +111,11 @@ class Grid:
 
 
 def make_grid(dim: int, a: float, b: float, M: int) -> Grid:
-    """Build a periodic grid; rejects odd or non-positive M and a >= b."""
+    """Build a periodic grid; rejects a dim or M that is not an integer (a
+    numpy integer is one, a bool is not), odd or non-positive M and a >= b."""
+    for name, value in (("dim", dim), ("M", M)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     return Grid(dim=int(dim), a=float(a), b=float(b), M=int(M))
 
 
@@ -118,8 +123,9 @@ class SpinorField:
     """Two-component complex field on a grid: values[k] is component k+1.
 
     values has shape (2, M) in 1D and (2, M, M) in 2D (row-major over the
-    (x, y) node indices).  The array is owned by the field; propagation
-    routines update it in place.
+    (x, y) node indices).  The array is owned by the field and C-contiguous:
+    update it in place, as the flows do, and never rebind it, since the
+    flows reject values that are not C-contiguous.
     """
 
     __slots__ = ("grid", "values")

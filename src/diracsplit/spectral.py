@@ -72,7 +72,9 @@ class SpectralCache:
     the transforms run over the trailing grid axes.  The members must share
     delta, because one W phase acts on all of them; `params` is the first
     member's, which is all the W flow reads.  One `PhysParams`, or a
-    sequence of one, gives tables of grid shape.
+    sequence of one, gives tables of grid shape.  Each member's rows come
+    from the one-member formula, so they equal that member's own tables
+    bitwise.
     """
 
     __slots__ = ("grid", "params", "phase_scale", "nx", "ny", "nz", "_axes", "_shape",
@@ -104,22 +106,13 @@ class SpectralCache:
         else:
             mux, muy = np.broadcast_arrays(mu_axis[:, None], mu_axis[None, :])
 
-        # Each member's scalars, squares included, are formed in Python as
-        # for a lone field and broadcast over the modes, so every row equals
-        # that member's own table bitwise.
-        def per_member(f: Callable[[PhysParams], float]) -> np.ndarray:
-            return np.array([f(p) for p in members]).reshape(batch + (1,) * grid.dim)
+        def tables(p: PhysParams) -> tuple[np.ndarray, ...]:
+            de = p.delta * p.epsilon
+            eta = np.sqrt(p.nu**2 + de**2 * (mux**2 + muy**2))
+            return eta / (p.delta * p.epsilon**2), de * mux / eta, de * muy / eta, p.nu / eta
 
-        de = per_member(lambda p: p.delta * p.epsilon)
-        de_sq = per_member(lambda p: (p.delta * p.epsilon) ** 2)
-        de2 = per_member(lambda p: p.delta * p.epsilon**2)
-        nu = per_member(lambda p: p.nu)
-        nu_sq = per_member(lambda p: p.nu**2)
-        eta = np.sqrt(nu_sq + de_sq * (mux**2 + muy**2))
-        self.phase_scale = eta / de2
-        self.nx = de * mux / eta
-        self.ny = de * muy / eta
-        self.nz = nu / eta
+        self.phase_scale, self.nx, self.ny, self.nz = (
+            np.stack(t) if batch else t[0] for t in zip(*map(tables, members)))
 
     def rotation(self, ctau: float) -> tuple[np.ndarray, np.ndarray]:
         """Per-mode factors (A, B) of e^{c tau Gamma} = [[A, B], [-conj B, conj A]].
@@ -152,7 +145,7 @@ class SpectralCache:
                 np.multiply(minus_sin, nx, out=b_im[lo:hi])
                 np.multiply(minus_sin, ny, out=minus_sin)
 
-            _by_halves(part, a.size, _splits(a.size, a))
+            _by_halves(part, a.size)
             a.flags.writeable = False
             b.flags.writeable = False
             out = (a, b)
@@ -203,8 +196,7 @@ class WFlowCache:
         if out is None:
             out = np.empty(self._v_over_delta.shape, dtype=np.complex128)
             flat, v = out.reshape(-1), self._v_over_delta.reshape(-1)
-            _by_halves(lambda lo, hi: _unit_phase(flat, v, -key, lo, hi), flat.size,
-                       _splits(flat.size, out))
+            _by_halves(lambda lo, hi: _unit_phase(flat, v, -key, lo, hi), flat.size)
             out.flags.writeable = False
             self._phases[key] = out
         return out
@@ -219,9 +211,15 @@ def _unit_phase(out: np.ndarray, values: np.ndarray, scale: float, lo: int, hi: 
     np.sin(arg, out=arg)
 
 
-def _check_grids(field: Field, grid: Grid) -> None:
-    if field.grid is not grid and field.grid != grid:
+def _check_field(field: Field, grid: Optional[Grid]) -> np.ndarray:
+    """The values of a field entering a flow, checked against the grid of
+    the flow's table (if any) and for the C-contiguous layout that the
+    in-place flows and their split halves rely on."""
+    if grid is not None and field.grid is not grid and field.grid != grid:
         raise ValueError(f"field grid ({field.grid}) does not match ({grid})")
+    if not field.values.flags.c_contiguous:
+        raise ValueError("field values are not C-contiguous; update them in place, never rebind")
+    return field.values
 
 
 @functools.cache
@@ -230,25 +228,22 @@ def _helper_pool() -> ThreadPoolExecutor:
     return ThreadPoolExecutor(max_workers=1, thread_name_prefix="diracsplit-T-flow")
 
 
+@functools.cache
 def _usable_cpus() -> int:
+    """The CPUs this process may run on, read once."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
 
 
-def _splits(component_size: int, values: np.ndarray) -> bool:
-    """Whether a flow of `values`, `component_size` points per spinor
-    component, or the build of a table `values` of `component_size`
-    points, uses the helper thread.
-
-    Only for a contiguous array with at least _SPLIT_MIN_POINTS points per
-    component, called from the main thread, with at least two usable
-    CPUs: a study's pool threads (workers > 1) already own the cores, so
-    their flows and builds stay serial.
-    """
-    return (component_size >= _SPLIT_MIN_POINTS
-            and values.flags.c_contiguous
+def _splits(points: int) -> bool:
+    """The split rule: work on `points` points (per spinor component for a
+    flow, of the table for a build) uses the helper thread when there are
+    at least _SPLIT_MIN_POINTS of them, it runs on the main thread, and at
+    least two CPUs are usable.  A study's pool threads (workers > 1)
+    already own the cores, so their flows and builds stay serial."""
+    return (points >= _SPLIT_MIN_POINTS
             and threading.current_thread() is threading.main_thread()
             and _usable_cpus() >= 2)
 
@@ -273,11 +268,12 @@ def _in_parallel(first: Callable[[], None], second: Callable[[], None]) -> None:
         raise error
 
 
-def _by_halves(part: Callable[[int, int], None], n: int, split: bool) -> None:
-    """Run part(0, n), or, when `split`, part(0, half) on the calling thread
-    and part(half, n) on the helper thread, cut at `_half`.  `part` fills
-    or updates points lo:hi of flat arrays."""
-    if not split:
+def _by_halves(part: Callable[[int, int], None], n: int, points: Optional[int] = None) -> None:
+    """Run part(0, n), or, when the work `_splits` (on `points` points, n
+    by default), part(0, half) on the calling thread and part(half, n) on
+    the helper thread, cut at `_half`.  `part` fills or updates points
+    lo:hi of flat arrays."""
+    if not _splits(n if points is None else points):
         part(0, n)
         return
     half = _half(n)
@@ -309,24 +305,21 @@ def apply_T_flow(field: Field, ctau: float, cache: SpectralCache) -> Field:
     two temporaries (one component each) belong to the call, never to the
     cache, so one cache can serve several threads.
 
-    The flow runs in three steps: transform, mix, transform back.  Called
-    from the main thread, with at least two usable CPUs, on a component of
-    at least _SPLIT_MIN_POINTS points (2D M=256; not 2D M=128 or the 1D
-    grids of the studies), each step is one hand-off through
-    `_in_parallel`: the caller transforms component 0 while the helper
-    thread transforms component 1, each mixes half of the flat spectra,
-    and each transforms its component back.  Every value is computed as in
-    the serial flow, one `fftn` and one `ifftn` of the whole spinor, so the
-    result is bitwise the same.  A flow on any other thread, such as a
-    study pool's, runs serially.
+    The flow runs in three steps: transform, mix, transform back.  When
+    it splits (`_splits`, on the points of one component: 2D M=256, not
+    2D M=128 or the 1D grids of the studies), each step is one hand-off
+    through `_in_parallel`: the caller transforms component 0 while the
+    helper thread transforms component 1, each mixes half of the flat
+    spectra, and each transforms its component back.  Every value is
+    computed as in the serial flow, one `fftn` and one `ifftn` of the
+    whole spinor, so the result is bitwise the same.
     """
-    _check_grids(field, cache.grid)
-    v = field.values
+    v = _check_field(field, cache.grid)
     if v.shape != cache._values_shape:
         raise ValueError(f"field values {v.shape} do not match the cache's {cache._values_shape}")
     a, b = cache.rotation(ctau)
     shape, axes = cache._shape, cache._axes
-    if not _splits(cache._component_size, v):
+    if not _splits(cache._component_size):
         # An explicit s= skips numpy's per-call shape inference; fftn/ifftn, not fft2/ifft2 (below).
         np.fft.fftn(v, s=shape, axes=axes, out=v)
         _mix(v[0], v[1], a, b)
@@ -341,7 +334,7 @@ def apply_T_flow(field: Field, ctau: float, cache: SpectralCache) -> Field:
     transform(np.fft.fftn)
     flat, a, b = v.reshape(2, -1), a.reshape(-1), b.reshape(-1)
     _by_halves(lambda lo, hi: _mix(flat[0, lo:hi], flat[1, lo:hi], a[lo:hi], b[lo:hi]),
-               flat.shape[1], True)
+               flat.shape[1])
     transform(np.fft.ifftn)
     return field
 
@@ -362,35 +355,33 @@ def apply_W_flow(
     across steps; it must have been built on the field's grid from the same
     potential and delta.
 
-    A sampled phase (no `wcache`) splits like a T flow, under the same
-    rule: V is sampled once on the calling thread, which allocates the one
-    phase array, and the caller and the helper thread each write the
-    argument, cos and sin of their part of the grid (the row-major points,
-    cut at a row for 2D M=256) straight into it and multiply those points
-    of every component and member.  Every value is
+    A sampled phase (no `wcache`) splits like a T flow (`_splits`, on the
+    points of one component): V is sampled once on the calling thread,
+    which allocates the one phase array, and the caller and the helper
+    thread each write the argument, cos and sin of their part of the grid
+    (the row-major points, cut at a row for 2D M=256) straight into it and
+    multiply those points of every component and member.  Every value is
     computed as in the serial flow, so the result is bitwise the same.  A
     cached phase is one multiply and never splits.
     """
+    v = _check_field(field, None if wcache is None else wcache.grid)
     if wcache is not None:
-        _check_grids(field, wcache.grid)
         if wcache.cache_token != potential.cache_token or wcache.delta != params.delta:
             raise ValueError(
                 f"W phase table of potential {wcache.cache_token!r} at delta={wcache.delta!r} "
                 f"does not match {potential.cache_token!r} at delta={params.delta!r}"
             )
-        field.values *= wcache.phases(ctau)
+        v *= wcache.phases(ctau)
         return field
-    v = field.values
     grid_v = potential.sample_grid(t_eval, field.grid).reshape(-1)
     scale = -float(ctau) / params.delta
     n = grid_v.size
-    # a view: the values of a SpinorField or SpinorBatch are C-contiguous
-    points = v.reshape(*v.shape[:-field.grid.dim], n)
+    flat = v.reshape(*v.shape[:-field.grid.dim], n)  # a view: v is C-contiguous
     phase = np.empty(n, dtype=np.complex128)
 
     def part(lo: int, hi: int) -> None:
         _unit_phase(phase, grid_v, scale, lo, hi)
-        points[..., lo:hi] *= phase[lo:hi]
+        flat[..., lo:hi] *= phase[lo:hi]
 
-    _by_halves(part, n, _splits(v.size // 2, v))
+    _by_halves(part, n, points=v.size // 2)
     return field

@@ -76,6 +76,18 @@ class TestGrid:
         with pytest.raises(ValueError):
             make_grid(1, -1.0, 1.0, M)
 
+    @pytest.mark.parametrize("dim, M, name", [(1, 64.5, "M"), (1, 64.0, "M"), (1, "64", "M"),
+                                              (1, True, "M"), (1.7, 64, "dim"), (1.0, 64, "dim"),
+                                              (True, 64, "dim")])
+    def test_rejects_a_non_integer_dim_or_node_count(self, dim, M, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            make_grid(dim, -8.0, 8.0, M)
+
+    def test_accepts_numpy_integers(self):
+        g = make_grid(np.int64(2), -8.0, 8.0, np.int32(64))
+        assert g == make_grid(2, -8.0, 8.0, 64)
+        assert type(g.dim) is int and type(g.M) is int
+
     def test_rejects_empty_interval(self):
         with pytest.raises(ValueError):
             make_grid(1, 1.0, 1.0, 8)

@@ -4,11 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
+from diracsplit import spectral
 from diracsplit.harness import gaussian_problem_1d
 from diracsplit.model import (
     PhysParams,
+    Potential,
     SpinorBatch,
+    SpinorField,
     constant_potential,
     gaussian_ic,
     honeycomb_potential,
@@ -20,7 +25,10 @@ from diracsplit.model import (
 from diracsplit.schemes import (
     CATALOG_NAMES,
     Propagator,
+    SchemeSpec,
     SchemeStep,
+    _fuse,
+    _with_offsets,
     catalog,
     evolve,
     load_constants,
@@ -29,6 +37,7 @@ from diracsplit.schemes import (
 from diracsplit.spectral import SpectralCache, WFlowCache, apply_T_flow, apply_W_flow
 
 from conftest import random_field
+from test_spectral import GRID_256, on_worker_thread
 
 EXPECTED_OP_COUNTS = {
     "S1": (1, 1),
@@ -441,6 +450,121 @@ class TestBatchedPropagation:
         propagator = Propagator(catalog("S6c"), 0.1, rational_potential_1d(), cache)
         assert propagator.wcache.grid == grid1d
         assert propagator.wcache.phases(0.1).shape == grid1d.shape
+
+
+# ---------------------------------------------------------------------------
+# property-based oracles: random step programs against the plain walks
+
+
+@st.composite
+def programs(draw):
+    """A valid `SchemeSpec` built as the catalog builds one, through
+    `_with_offsets(_fuse(raw))`: random coefficients, some negative, that
+    sum to 1 per kind; palindromic (and declared symmetric) or not; and
+    starting and ending with either kind."""
+    kinds = draw(st.lists(st.sampled_from("TW"), min_size=1, max_size=4))
+    other = "W" if kinds[0] == "T" else "T"
+    kinds.insert(draw(st.integers(0, len(kinds))), other)  # both kinds occur
+    weights = [draw(st.floats(0.1, 1.0)) * draw(st.sampled_from((1.0, 1.0, -0.5)))
+               for _ in kinds]
+    raw = list(zip(kinds, weights))
+    symmetric = draw(st.booleans())
+    if symmetric:
+        middle = draw(st.lists(st.tuples(st.sampled_from("TW"), st.floats(0.1, 1.0)),
+                               max_size=1))
+        raw = raw + middle + raw[::-1]
+    totals = {kind: math.fsum(w for k, w in raw if k == kind) for kind in "TW"}
+    assume(min(abs(total) for total in totals.values()) >= 0.5)
+    raw = [(kind, w / totals[kind]) for kind, w in raw]
+    return SchemeSpec("random", _with_offsets(_fuse(raw)), 1, symmetric)
+
+
+def drifting_potential_1d():
+    """V(t, x) = cos(x - t): a 1D potential that every W flow samples."""
+    def on_grid(t, grid):
+        (x,) = grid.nodes()
+        return np.cos(x - t)
+
+    return Potential("drift-1d", lambda t, x: math.cos(x[0] - t), on_grid,
+                     time_independent=False, cache_token="drift-1d")
+
+
+RANDOM_GRIDS = {1: make_grid(1, -8.0, 8.0, 64), 2: make_grid(2, -4.0, 4.0, 32)}
+RANDOM_POTENTIALS = {
+    (1, "sampled"): drifting_potential_1d(),
+    (1, "cached"): rational_potential_1d(),
+    (2, "sampled"): honeycomb_potential("linear"),
+    (2, "cached"): honeycomb_potential("constant"),
+}
+BATCH_MEMBERS = (PhysParams(epsilon=1.0), PhysParams(epsilon=0.5))
+
+
+def copy_of(field):
+    return field.copy() if isinstance(field, SpinorField) else SpinorBatch(field.members())
+
+
+def members_of(field):
+    return [field] if isinstance(field, SpinorField) else field.members()
+
+
+def check_against_plain_walks(spec, tau, n_steps, potential, cache, start):
+    """`Propagator.run` against `plain_run` (bitwise) and the unmerged
+    `plain_step` walk (round-off); mass kept to 1e-12 per member; and a
+    symmetric program run back with -tau returns to the start."""
+    t0 = 0.3
+    wcache = WFlowCache(potential, cache.grid, cache.params) if potential.time_independent else None
+    by_run = Propagator(spec, tau, potential, cache).run(copy_of(start), t0, n_steps)
+    by_walk = plain_run(copy_of(start), tau, t0, n_steps, spec, potential, cache, wcache)
+    np.testing.assert_array_equal(by_run.values, by_walk.values)
+    by_steps = copy_of(start)
+    for k in range(n_steps):
+        plain_step(by_steps, tau, t0 + k * tau, spec, potential, cache, wcache)
+    np.testing.assert_allclose(by_run.values, by_steps.values, rtol=0, atol=1e-12)
+    for got, was in zip(members_of(by_run), members_of(start)):
+        assert abs(mass(got) - mass(was)) <= 1e-12 * mass(was)
+    if spec.symmetric:
+        back = Propagator(spec, -tau, potential, cache).run(by_run, t0 + n_steps * tau, n_steps)
+        np.testing.assert_allclose(back.values, start.values, rtol=0, atol=1e-12)
+
+
+class TestRandomPrograms:
+    """Random valid programs, not only the catalog's, through the compiled
+    and merged run."""
+
+    @given(spec=programs(), tau=st.floats(0.01, 0.1), backward=st.booleans(),
+           n_steps=st.integers(0, 5), dim=st.sampled_from((1, 2)),
+           v=st.sampled_from(("sampled", "cached")), batch=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_run_equals_the_plain_walks(self, spec, tau, backward, n_steps, dim, v, batch):
+        grid = RANDOM_GRIDS[dim]
+        rng = np.random.default_rng(0)
+        if batch:
+            start = SpinorBatch([random_field(grid, rng) for _ in BATCH_MEMBERS])
+            cache = SpectralCache(BATCH_MEMBERS, grid)
+        else:
+            start, cache = random_field(grid, rng), SpectralCache(PhysParams(), grid)
+        check_against_plain_walks(spec, -tau if backward else tau, n_steps,
+                                  RANDOM_POTENTIALS[dim, v], cache, start)
+
+    @given(spec=programs(), backward=st.booleans(), n_steps=st.integers(2, 3),
+           v=st.sampled_from(("sampled", "cached")))
+    @settings(max_examples=4, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_split_path_at_2d_m256(self, spec, backward, n_steps, v, helper_jobs):
+        # The flows split across the helper thread, and the split run
+        # equals, bit for bit, the serial run of a worker thread.
+        cache = SpectralCache(PhysParams(), GRID_256)
+        potential = RANDOM_POTENTIALS[2, v]
+        tau = -0.05 if backward else 0.05
+        start = random_field(GRID_256, np.random.default_rng(0))
+        helper_jobs.clear()
+        check_against_plain_walks(spec, tau, n_steps, potential, cache, start)
+        assert helper_jobs or spectral._usable_cpus() < 2
+
+        def run():
+            return Propagator(spec, tau, potential, cache).run(start.copy(), 0.3, n_steps)
+
+        np.testing.assert_array_equal(run().values, on_worker_thread(run).values)
 
 
 @pytest.fixture(scope="module")

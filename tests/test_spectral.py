@@ -1,5 +1,6 @@
 """Fourier transforms and the exact split flows."""
 
+import os
 import sys
 import threading
 import time
@@ -515,6 +516,32 @@ class TestWFlow:
         np.testing.assert_allclose(tw.values, wt.values, atol=1e-13)
 
 
+class TestFieldLayout:
+    """A field enters every flow with C-contiguous values: one rebound to
+    another layout is rejected, not run on a copy or serially."""
+
+    @pytest.fixture
+    def rebound(self, rng):
+        f = random_field(make_grid(2, -8.0, 8.0, 32), rng)
+        f.values = np.asfortranarray(f.values)
+        return f
+
+    @pytest.mark.parametrize("flow", ["T", "W-cached", "W-sampled"])
+    def test_rebound_values_are_rejected(self, flow, rebound, params):
+        before = rebound.values.copy()
+        static = honeycomb_potential("constant")
+        run = {
+            "T": lambda: apply_T_flow(rebound, 0.3, SpectralCache(params, rebound.grid)),
+            "W-cached": lambda: apply_W_flow(rebound, 0.3, 0.1, static, params,
+                                             WFlowCache(static, rebound.grid, params)),
+            "W-sampled": lambda: apply_W_flow(rebound, 0.3, 0.1, honeycomb_potential("linear"),
+                                              params),
+        }[flow]
+        with pytest.raises(ValueError, match="not C-contiguous"):
+            run()
+        np.testing.assert_array_equal(rebound.values, before)
+
+
 # ---------------------------------------------------------------------------
 # a leading batch axis: k fields that differ only in T
 
@@ -705,6 +732,28 @@ class TestSplitTFlow:
         monkeypatch.setattr(spectral, "_usable_cpus", lambda: 1)
         apply_T_flow(random_field(GRID_256, rng), 0.2, SpectralCache(PhysParams(), GRID_256))
         assert helper_jobs == []
+
+    def test_usable_cpus_are_read_once(self, rng, helper_jobs, monkeypatch):
+        calls = []
+        affinity = getattr(os, "sched_getaffinity", lambda pid: set(range(os.cpu_count() or 1)))
+
+        def counting(pid):
+            calls.append(pid)
+            return affinity(pid)
+
+        monkeypatch.setattr(os, "sched_getaffinity", counting, raising=False)
+        spectral._usable_cpus.cache_clear()
+        try:
+            cache = SpectralCache(PhysParams(), GRID_256)
+            f = random_field(GRID_256, rng)
+            for ctau in SPLIT_CTAUS:
+                apply_T_flow(f, ctau, cache)
+                apply_W_flow(f, ctau, 0.1, DRIVEN, PhysParams())
+        finally:
+            spectral._usable_cpus.cache_clear()
+        assert calls == [0]
+        if len(affinity(0)) >= 2:
+            assert len(helper_jobs) == 5 * len(SPLIT_CTAUS)
 
     def test_split_flows_beside_pool_threads_match_serial(self, rng, helper_jobs):
         # More threads than cores and a short switch interval: the main
